@@ -18,16 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import (
-    LinAlgError,
-    Matrix,
-    Subspace,
-    commutator,
-    rref_span,
-    unit_vector,
-    vec_add,
-    vec_scale,
-)
+from .linalg import Matrix, Subspace, commutator, unit_vector, vec_add
 
 
 class AlgebraError(ValueError):
@@ -153,11 +144,6 @@ class AlgebraMorphismData:
                     return False
         return True
 
-    def kernel(self) -> Subspace:
-        from .linalg import nullspace
-
-        return nullspace(self.matrix)
-
 
 def validate_left_leibniz(alg: LeibnizAlgebra):
     """None if valid; else the first failing (i, j, k).
@@ -170,17 +156,22 @@ def validate_left_leibniz(alg: LeibnizAlgebra):
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            # L_{b_i b_j} expanded through the table
-            acc = Matrix.zeros(f, n, n)
-            for m in range(n):
-                c = alg.table[i][j][m]
-                if c != f.zero():
-                    acc = acc + left[m].scale(c)
-            diff = acc - commutator(left[i], left[j])
+            diff = expand_product(alg, i, j, left) - commutator(left[i], left[j])
             for k in range(n):
                 if any(diff.rows[k][col] != f.zero() for col in range(n)):
                     return (i, j, k)
     return None
+
+
+def expand_product(alg: LeibnizAlgebra, i: int, j: int, mats) -> Matrix:
+    """sum_k c_ij^k mats[k]: the operator of b_i b_j in the representation
+    that sends each basis element b_k to ``mats[k]``."""
+    f = alg.field
+    acc = Matrix.zeros(f, *mats[0].shape)
+    for c, m in zip(alg.table[i][j], mats):
+        if c != f.zero():
+            acc = acc + m.scale(c)
+    return acc
 
 
 def mult_ops(alg: LeibnizAlgebra):
@@ -208,7 +199,7 @@ def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
         gens.append(alg.table[i][i])
         for j in range(i + 1, alg.dim):
             gens.append(vec_add(f, alg.table[i][j], alg.table[j][i]))
-    return rref_span(gens, alg.dim, f)
+    return Subspace.span(f, alg.dim, gens)
 
 
 def _quotient_table(alg: LeibnizAlgebra, ideal: Subspace):
@@ -266,9 +257,7 @@ def canonical_lie(alg: LeibnizAlgebra):
     cols = [
         ker.project_to_quotient(unit_vector(f, alg.dim, j)) for j in range(alg.dim)
     ]
-    proj = Matrix(
-        f, [[cols[j][i] for j in range(alg.dim)] for i in range(quot.dim)]
-    )
+    proj = Matrix(f, cols, quot.dim).transpose()
     return quot, AlgebraMorphismData(alg, quot, proj)
 
 
@@ -283,7 +272,7 @@ def products_and_series(alg: LeibnizAlgebra) -> dict:
         for u in rows:
             for v in rows:
                 vecs.append(alg.product(u, v))
-        return rref_span(vecs, n, f)
+        return Subspace.span(f, n, vecs)
 
     full = Subspace.full(f, n)
     product_span = span_of_products(full)
@@ -401,12 +390,7 @@ def hemi_semidirect(g: LeibnizAlgebra, action: list[Matrix], module_names=None):
             raise AlgebraError("action matrices must be square of equal size")
     for i in range(g.dim):
         for j in range(g.dim):
-            acc = Matrix.zeros(f, m, m)
-            for k in range(g.dim):
-                c = g.table[i][j][k]
-                if c != f.zero():
-                    acc = acc + action[k].scale(c)
-            if acc != commutator(action[i], action[j]):
+            if expand_product(g, i, j, action) != commutator(action[i], action[j]):
                 raise AlgebraError(
                     "action matrices do not define a Lie module "
                     f"(pair {g.basis_names[i]}, {g.basis_names[j]})"

@@ -19,17 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, mult_ops
+from .algebra import LeibnizAlgebra, expand_product, mult_ops
 from .fields import Field
-from .linalg import (
-    LinAlgError,
-    Matrix,
-    Subspace,
-    invert,
-    nullspace,
-    rref_span,
-    unit_vector,
-)
+from .linalg import Matrix, Subspace, induced_on_quotient, invert, nullspace
 
 
 class BimoduleError(ValueError):
@@ -89,25 +81,6 @@ class Bimodule:
     def is_full(self) -> bool:
         r = self.axiom_report()
         return r.llm and r.lml and r.mll
-
-    def left_action(self, x_coords, v):
-        """Action of the algebra element with coordinates ``x_coords``."""
-        f = self.field
-        out = (f.zero(),) * self.dim
-        for i, c in enumerate(x_coords):
-            if c != f.zero():
-                img = self.lam[i].apply(v)
-                out = tuple(f.add(a, f.mul(c, b)) for a, b in zip(out, img))
-        return out
-
-    def right_action(self, v, x_coords):
-        f = self.field
-        out = (f.zero(),) * self.dim
-        for i, c in enumerate(x_coords):
-            if c != f.zero():
-                img = self.rho[i].apply(v)
-                out = tuple(f.add(a, f.mul(c, b)) for a, b in zip(out, img))
-        return out
 
     def __eq__(self, other):
         return (
@@ -188,17 +161,7 @@ class BimoduleHomCandidate:
 
 def axiom_report(mod: Bimodule) -> AxiomReport:
     alg = mod.algebra
-    f = mod.field
     n = alg.dim
-
-    def expand(mats, i, j):
-        acc = Matrix.zeros(f, mod.dim, mod.dim)
-        for k in range(n):
-            c = alg.table[i][j][k]
-            if c != f.zero():
-                acc = acc + mats[k].scale(c)
-        return acc
-
     llm = lml = mll = zd = True
     first = None
 
@@ -211,13 +174,13 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
         for j in range(n):
             li, lj = mod.lam[i], mod.lam[j]
             ri, rj = mod.rho[i], mod.rho[j]
-            if llm and expand(mod.lam, i, j) != li * lj - lj * li:
+            if llm and expand_product(alg, i, j, mod.lam) != li * lj - lj * li:
                 llm = False
                 fail("llm", i, j)
-            if lml and expand(mod.rho, i, j) != li * rj - rj * li:
+            if lml and expand_product(alg, i, j, mod.rho) != li * rj - rj * li:
                 lml = False
                 fail("lml", i, j)
-            if mll and rj * ri != expand(mod.rho, i, j) - li * rj:
+            if mll and rj * ri != expand_product(alg, i, j, mod.rho) - li * rj:
                 mll = False
                 fail("mll", i, j)
             if zd and not (rj * (li + ri)).is_zero():
@@ -318,7 +281,7 @@ def column_span(field: Field, mats, dim: int) -> Subspace:
     vecs = []
     for m in mats:
         vecs.extend(m.columns())
-    return rref_span(vecs, dim, field)
+    return Subspace.span(field, dim, vecs)
 
 
 def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
@@ -372,7 +335,7 @@ def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
     for s in seeds:
         if len(s) != mod.dim:
             raise BimoduleError("seed length mismatch")
-    space = rref_span(seeds, mod.dim, f)
+    space = Subspace.span(f, mod.dim, seeds)
     mats = list(mod.lam) + list(mod.rho)
     frontier = space.basis_vectors()
     while frontier:
@@ -400,9 +363,7 @@ def restrict(mod: Bimodule, space: Subspace) -> Bimodule:
     def induced(m: Matrix) -> Matrix:
         red = space.reducer()
         cols = [red.coords(m.apply(v)) for v in rows]
-        return Matrix(
-            f, [[cols[j][i] for j in range(len(rows))] for i in range(len(rows))]
-        )
+        return Matrix(f, cols, len(rows)).transpose()
 
     return Bimodule(
         mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho]
@@ -413,20 +374,10 @@ def quotient(mod: Bimodule, space: Subspace) -> Bimodule:
     """Induced actions on M/S, in the complement coordinates of S."""
     if not is_invariant(mod, space):
         raise BimoduleError("subspace is not invariant under both actions")
-    f = mod.field
-    keep = space.complement_coords()
-
-    def induced(m: Matrix) -> Matrix:
-        cols = [
-            space.project_to_quotient(m.apply(unit_vector(f, mod.dim, j)))
-            for j in keep
-        ]
-        return Matrix(
-            f, [[cols[j][i] for j in range(len(keep))] for i in range(len(keep))]
-        )
-
     return Bimodule(
-        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho]
+        mod.algebra,
+        [induced_on_quotient(m, space) for m in mod.lam],
+        [induced_on_quotient(m, space) for m in mod.rho],
     )
 
 
@@ -439,7 +390,7 @@ def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
     (f.x) = rho' f - f rho; weak whenever both inputs are weak.
 
     Maps are flattened row-major as dst.dim x src.dim matrices, so the
-    operator of f -> A f B is kron(A, B^T).
+    operator of f -> A f B is A.kron(B^T).
     """
     if src.algebra != dst.algebra:
         raise BimoduleError("hom needs a common algebra")

@@ -6,7 +6,8 @@ Strategies, tried in order on each piece:
    1-dimensional subbimodule; peel it and recurse on the quotient.
    Certified (each step is an explicit invariant line).
 2. highest-weight decomposition when the algebra is the builtin sl2 (or
-   its hemi-semidirect extension) and the bimodule is full: split off the
+   its hemi-semidirect extension), the bimodule is full and the
+   characteristic is 0 or exceeds the dimension: split off the
    anti-symmetric kernel, then peel irreducibles of the left module by
    maximal h-eigenvalue.  Certified.
 3. generic spin: close probe vectors (basis vectors, eigenvectors and
@@ -27,16 +28,18 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, make_S, make_sl2
+from .algebra import LeibnizAlgebra, make_S, make_sl2, sl2_module_matrices
 from .bimodule import (
     Bimodule,
     BimoduleError,
+    antisymmetrize,
     classify_flags,
     is_invariant,
     kernels_and_invariants,
     quotient,
     restrict,
     subbimodule_closure,
+    symmetrize,
 )
 from .linalg import (
     Matrix,
@@ -44,8 +47,8 @@ from .linalg import (
     determinant,
     eigenvalues_in_field,
     eigenspace,
+    induced_on_quotient,
     nullspace,
-    rref_span,
     unit_vector,
 )
 
@@ -154,11 +157,8 @@ def sl2_triple_indices(alg: LeibnizAlgebra):
     f = alg.field
     if f.characteristic == 2:
         return None
-    try:
-        if alg == make_sl2(f) or alg == make_S(f):
-            return (0, 1, 2)
-    except Exception:
-        return None
+    if alg == make_sl2(f) or alg == make_S(f):
+        return (0, 1, 2)
     return None
 
 
@@ -183,23 +183,11 @@ def _left_module_highest_weights(e: Matrix, h: Matrix, fmat: Matrix, field):
         chain = [v]
         for _ in range(n):
             chain.append(fmat.apply(chain[-1]))
-        space = rref_span(chain, d, field)
+        space = Subspace.span(field, d, chain)
         if space.dim != n + 1:
             raise BimoduleError("highest-weight string collapsed unexpectedly")
-        keep = space.complement_coords()
-
-        def project(m: Matrix) -> Matrix:
-            cols = [
-                space.project_to_quotient(m.apply(unit_vector(field, d, j)))
-                for j in keep
-            ]
-            return Matrix(
-                field,
-                [[cols[j][i] for j in range(len(keep))] for i in range(len(keep))],
-            )
-
         weights.append(n)
-        e, h, fmat = project(e), project(h), project(fmat)
+        e, h, fmat = (induced_on_quotient(m, space) for m in (e, h, fmat))
     return weights
 
 
@@ -212,17 +200,11 @@ def _sl2_chop(mod: Bimodule, triple) -> list:
             mod.lam[ei], mod.lam[hi], mod.lam[fi], field
         )
         factors = []
-        from .algebra import sl2_module_matrices
-        from .bimodule import antisymmetrize, symmetrize
-
-        base = make_sl2(field) if mod.algebra == make_sl2(field) else None
         for n in weights:
-            mats = sl2_module_matrices(field, n)
-            if base is None:
-                # hemi extension: pad with zero left action on the kernel part
-                mats = mats + [Matrix.zeros(field, n + 1, n + 1)] * (
-                    mod.algebra.dim - 3
-                )
+            # the hemi extension acts by zero beyond (e, h, f)
+            mats = sl2_module_matrices(field, n) + [
+                Matrix.zeros(field, n + 1, n + 1)
+            ] * (mod.algebra.dim - 3)
             if flags["anti_symmetric"] and not (
                 flags["symmetric"] and flags["anti_symmetric"]
             ):
@@ -345,12 +327,13 @@ def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
         if vec is not None:
             if "weight" not in strategies:
                 strategies.append("weight")
-            line = rref_span([vec], m.dim, m.field)
+            line = Subspace.span(m.field, m.dim, [vec])
             head = factor_info(restrict(m, line), certified=True)
             tail, cert = recurse(quotient(m, line))
             return [head] + tail, cert
         triple = sl2_triple_indices(m.algebra)
-        if triple is not None and m.is_full():
+        p = m.field.characteristic
+        if triple is not None and m.is_full() and (p == 0 or p > m.dim):
             if "sl2" not in strategies:
                 strategies.append("sl2")
             return _sl2_chop(m, triple), True
@@ -404,9 +387,7 @@ def bruteforce_invariant_subspaces(
                     rows[i][pc] = field.one()
                 for (i, j), val in zip(free_positions, values):
                     rows[i][j] = field.from_int(val)
-                space = Subspace(
-                    field, d, Matrix(field, rows) if rows else Matrix.zeros(field, 0, d), pivots
-                )
+                space = Subspace(field, d, Matrix(field, rows, d), pivots)
                 if is_invariant(mod, space):
                     out.append(space)
     return out
@@ -429,10 +410,10 @@ def oracle_composition_factors(mod: Bimodule, lattice=None) -> list[FactorInfo]:
             key=lambda w: w.dim,
         )
         quot = quotient(mod, current)
-        image = rref_span(
-            [current.project_to_quotient(v) for v in step.basis_vectors()],
-            quot.dim,
+        image = Subspace.span(
             mod.field,
+            quot.dim,
+            [current.project_to_quotient(v) for v in step.basis_vectors()],
         )
         factors.append(factor_info(restrict(quot, image), certified=True))
         current = step

@@ -55,10 +55,11 @@ class CliError(ValueError):
 
 
 def default_seed() -> int:
+    text = os.environ.get("LEIBNIZ_SEED", "0")
     try:
-        return int(os.environ.get("LEIBNIZ_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise CliError(f"LEIBNIZ_SEED must be an integer, not {text!r}") from None
 
 
 def resolve_field(spec: str) -> Field:
@@ -100,9 +101,7 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
         if rest.startswith("L"):
             n = int(rest[1:])
             mats = alg_mod.sl2_module_matrices(field, n)
-            if algebra.dim > 3:
-                pad = [Matrix.zeros(field, n + 1, n + 1)] * (algebra.dim - 3)
-                mats = mats + pad
+            mats += [Matrix.zeros(field, n + 1, n + 1)] * (algebra.dim - 3)
             return build(algebra, mats)
         vals = _parse_scalars(field, rest)
         if len(vals) != algebra.dim:
@@ -117,8 +116,11 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
             algebra, _parse_scalars(field, a_text), _parse_scalars(field, c_text)
         )
     if kind == "file":
-        with open(rest, encoding="utf-8") as fh:
-            return Bimodule.from_json(fh.read())
+        try:
+            with open(rest, encoding="utf-8") as fh:
+                return Bimodule.from_json(fh.read())
+        except OSError as exc:
+            raise CliError(f"cannot read {rest}: {exc}") from None
     raise CliError(f"unknown module spec {spec!r}")
 
 
@@ -603,15 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_usage()
-        return 2
-    if args.command == "gr" and not getattr(args, "gr_command", None):
-        parser.parse_args(["gr", "--help"])
-        return 2
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_usage()
+            return 2
+        if args.command == "gr" and not getattr(args, "gr_command", None):
+            parser.parse_args(["gr", "--help"])
+            return 2
         report, ok = args.fn(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,14 +34,19 @@ Word = tuple  # tuple of generator indices
 NCPoly = dict  # Word -> scalar
 
 
+def _accumulate(field, out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    s = field.add(out.get(key, field.zero()), c)
+    if s == field.zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def poly_add(field, a: NCPoly, b: NCPoly) -> NCPoly:
     out = dict(a)
     for w, c in b.items():
-        s = field.add(out.get(w, field.zero()), c)
-        if s == field.zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
+        _accumulate(field, out, w, c)
     return out
 
 
@@ -55,12 +60,7 @@ def poly_mul(field, a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            w = wa + wb
-            s = field.add(out.get(w, field.zero()), field.mul(ca, cb))
-            if s == field.zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(field, out, wa + wb, field.mul(ca, cb))
     return out
 
 
@@ -205,6 +205,17 @@ class PresentedAlgebra:
         )
 
 
+def _bracket_relation(field, a: Word, b: Word, cell, gen) -> NCPoly:
+    """a b - b a - sum_k cell[k] gen(k), with zero terms dropped."""
+    rel: NCPoly = {}
+    _accumulate(field, rel, a + b, field.one())
+    _accumulate(field, rel, b + a, field.neg(field.one()))
+    for k, c in enumerate(cell):
+        if c != field.zero():
+            _accumulate(field, rel, gen(k), field.neg(c))
+    return rel
+
+
 def _envelope_relations(alg: LeibnizAlgebra, include_zd: bool):
     """Relation families on generators l_0..l_{n-1}, r_0..r_{n-1}."""
     f = alg.field
@@ -216,23 +227,9 @@ def _envelope_relations(alg: LeibnizAlgebra, include_zd: bool):
         for j in range(n):
             cell = alg.table[i][j]
             # (llm): l_i l_j - l_j l_i - l_{b_i b_j}
-            rel: NCPoly = {}
-            rel = poly_add(f, rel, {l(i) + l(j): f.one()})
-            rel = poly_add(f, rel, {l(j) + l(i): f.neg(f.one())})
-            for k in range(n):
-                if cell[k] != f.zero():
-                    rel = poly_add(f, rel, {l(k): f.neg(cell[k])})
-            if rel:
-                rels.append(rel)
+            rels.append(_bracket_relation(f, l(i), l(j), cell, l))
             # (lml): l_i r_j - r_j l_i - r_{b_i b_j}
-            rel = {}
-            rel = poly_add(f, rel, {l(i) + r(j): f.one()})
-            rel = poly_add(f, rel, {r(j) + l(i): f.neg(f.one())})
-            for k in range(n):
-                if cell[k] != f.zero():
-                    rel = poly_add(f, rel, {r(k): f.neg(cell[k])})
-            if rel:
-                rels.append(rel)
+            rels.append(_bracket_relation(f, l(i), r(j), cell, r))
             if include_zd:
                 # (zd): r_i l_j + r_i r_j
                 rels.append({r(i) + l(j): f.one(), r(i) + r(j): f.one()})
@@ -255,19 +252,11 @@ def build_presentation(alg: LeibnizAlgebra, which: str, cutoff: int = 3) -> Pres
     if which == "ulie":
         quot, _ = lie
         names = [f"x_{nm}" for nm in quot.basis_names]
-        rels = []
-        m = quot.dim
-        for i in range(m):
-            for j in range(m):
-                rel: NCPoly = poly_add(
-                    f, {(i, j): f.one()}, {(j, i): f.neg(f.one())}
-                )
-                cell = quot.table[i][j]
-                for k in range(m):
-                    if cell[k] != f.zero():
-                        rel = poly_add(f, rel, {(k,): f.neg(cell[k])})
-                if rel:
-                    rels.append(rel)
+        rels = [
+            _bracket_relation(f, (i,), (j,), quot.table[i][j], lambda k: (k,))
+            for i in range(quot.dim)
+            for j in range(quot.dim)
+        ]
         return PresentedAlgebra(
             f, names, rels, cutoff, which, algebra=alg, lie_data=lie
         )
@@ -440,12 +429,7 @@ def _coproduct(field, poly: NCPoly) -> dict:
         for mask in range(1 << k):
             wa = tuple(w[t] for t in range(k) if mask >> t & 1)
             wb = tuple(w[t] for t in range(k) if not mask >> t & 1)
-            key = (wa, wb)
-            s = field.add(out.get(key, field.zero()), c)
-            if s == field.zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(field, out, (wa, wb), c)
     return out
 
 
@@ -456,12 +440,7 @@ def _antipode(field, poly: NCPoly, signs) -> NCPoly:
         coeff = c
         for g in w:
             coeff = field.mul(coeff, signs[g])
-        rev = tuple(reversed(w))
-        s = field.add(out.get(rev, field.zero()), coeff)
-        if s == field.zero():
-            out.pop(rev, None)
-        else:
-            out[rev] = s
+        _accumulate(field, out, tuple(reversed(w)), coeff)
     return out
 
 
@@ -504,12 +483,7 @@ def hopf_check(pres: PresentedAlgebra, antipode_signs=None) -> dict:
             for ia, va in pi(wa).items():
                 cva = f.mul(c, va)
                 for ib, vb in pi(wb).items():
-                    key = (ia, ib)
-                    s = f.add(acc.get(key, f.zero()), f.mul(cva, vb))
-                    if s == f.zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
+                    _accumulate(f, acc, (ia, ib), f.mul(cva, vb))
         if acc:
             coideal_ok = False
             break

@@ -7,12 +7,14 @@ of the same space always produce equal ``Subspace`` objects.
 
 The fixed tensor basis convention used throughout the package: the basis
 vector ``u_i (x) w_j`` of ``U (x) W`` has flat index ``i*dim(W) + j``
-(left factor major).  ``kron`` realizes operators in exactly these
-coordinates, i.e. ``kron(A, B) @ (u (x) w) == (A u) (x) (B w)``.
+(left factor major).  ``Matrix.kron`` realizes operators in exactly these
+coordinates, i.e. ``A.kron(B) @ (u (x) w) == (A u) (x) (B w)``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -23,23 +25,28 @@ class LinAlgError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
+
+    ``ncols`` is needed only when there are no rows: a 0 x n matrix.
+    """
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field: Field, rows: Iterable[Iterable]):
+    def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
         self.field = field
         self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for r in self.rows:
-            if len(r) != self.ncols:
+            if len(r) != ncols:
                 raise LinAlgError("ragged rows")
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)])
+        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -54,11 +61,12 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
         body = "; ".join(
@@ -75,6 +83,7 @@ class Matrix:
                 [f.add(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -86,15 +95,16 @@ class Matrix:
                 [f.sub(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
+            self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows])
+        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
+        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -114,7 +124,7 @@ class Matrix:
                     if b != zero:
                         row[j] = f.add(row[j], f.mul(a, b))
             out.append(row)
-        return Matrix(f, out)
+        return Matrix(f, out, cols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector (given and returned as a flat tuple)."""
@@ -132,18 +142,17 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else Matrix(self.field, [])
+        return Matrix(self.field, self.columns(), self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product in the left-factor-major basis ordering."""
         f = self.field
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out.append([f.mul(a, b) for a in arow for b in brow])
-        if not out:
-            return Matrix.zeros(f, self.nrows * other.nrows, self.ncols * other.ncols)
-        return Matrix(f, out)
+        out = [
+            [f.mul(a, b) for a in arow for b in brow]
+            for arow in self.rows
+            for brow in other.rows
+        ]
+        return Matrix(f, out, self.ncols * other.ncols)
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -189,33 +198,34 @@ class RowReducer:
         self.rows: list[list] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of ``vec`` after eliminating all current pivots."""
+    def _eliminate(self, vec: Sequence, coeffs: list | None) -> list:
+        """Residual of ``vec`` after eliminating all current pivots; the
+        multiple of each basis row taken off is appended to ``coeffs``."""
         f = self.field
+        zero = f.zero()
         v = [f.coerce(x) for x in vec]
         if len(v) != self.width:
             raise LinAlgError("vector length mismatch")
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c != f.zero():
+            if coeffs is not None:
+                coeffs.append(c)
+            if c != zero:
                 for j in range(p, self.width):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                    if row[j] != zero:
+                        v[j] = f.sub(v[j], f.mul(c, row[j]))
         return v
+
+    def reduce(self, vec: Sequence) -> list:
+        """Residual of ``vec`` after eliminating all current pivots."""
+        return self._eliminate(vec, None)
 
     def coords(self, vec: Sequence) -> list | None:
         """Coefficients of ``vec`` over the current basis, or None."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
         cs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            cs.append(c)
-            if c != f.zero():
-                for j in range(p, self.width):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        if any(x != f.zero() for x in v):
-            return None
-        return cs
+        residual = self._eliminate(vec, cs)
+        zero = self.field.zero()
+        return cs if all(x == zero for x in residual) else None
 
     def contains(self, vec: Sequence) -> bool:
         z = self.field.zero()
@@ -224,8 +234,9 @@ class RowReducer:
     def insert(self, vec: Sequence) -> bool:
         """Add ``vec`` to the span; True if the rank grew."""
         f = self.field
+        zero = f.zero()
         v = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(v) if x != f.zero()), None)
+        pivot = next((j for j, x in enumerate(v) if x != zero), None)
         if pivot is None:
             return False
         c = f.inv(v[pivot])
@@ -233,9 +244,10 @@ class RowReducer:
         # clear the new pivot column in existing rows
         for row in self.rows:
             c = row[pivot]
-            if c != f.zero():
+            if c != zero:
                 for j in range(pivot, self.width):
-                    row[j] = f.sub(row[j], f.mul(c, v[j]))
+                    if v[j] != zero:
+                        row[j] = f.sub(row[j], f.mul(c, v[j]))
         at = next(
             (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
         )
@@ -252,11 +264,7 @@ class RowReducer:
         return len(self.rows)
 
     def basis(self) -> Matrix:
-        return (
-            Matrix(self.field, self.rows)
-            if self.rows
-            else Matrix.zeros(self.field, 0, self.width)
-        )
+        return Matrix(self.field, self.rows, self.width)
 
 
 class Subspace:
@@ -365,10 +373,6 @@ class Subspace:
             raise LinAlgError("ambient space mismatch")
 
 
-def rref_span(vectors: Iterable[Sequence], ambient_dim: int, field: Field) -> Subspace:
-    return Subspace.span(field, ambient_dim, vectors)
-
-
 def nullspace(m: Matrix) -> Subspace:
     """Right kernel {v : M v = 0}."""
     f = m.field
@@ -393,15 +397,13 @@ def rank(m: Matrix) -> int:
     return red.rank
 
 
-def solve_membership(space: Subspace, vec: Sequence):
-    """Coordinates of ``vec`` in the subspace basis, or None if outside."""
-    if len(vec) != space.ambient_dim:
-        raise LinAlgError("vector length mismatch")
-    return space.coordinates(vec)
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
+def induced_on_quotient(m: Matrix, space: Subspace) -> Matrix:
+    """The matrix ``m`` induces on F^n / space, in the complement
+    coordinates of ``space``; ``space`` must be ``m``-invariant."""
+    red = space.reducer()
+    keep = space.complement_coords()
+    cols = [red.reduce(m.col(j)) for j in keep]
+    return Matrix(m.field, [[c[i] for c in cols] for i in keep], len(keep))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -473,7 +475,8 @@ def eigenvalues_in_field(m: Matrix) -> list:
     """Eigenvalues of M that lie in the ground field, without multiplicity.
 
     Over F_p every residue is tried; over Q candidates come from the
-    rational root theorem applied to the characteristic polynomial.
+    rational root theorem applied to the characteristic polynomial, and a
+    candidate p/q is a root exactly when q^deg * chi(p/q) = 0 in integers.
     """
     f = m.field
     n = m.nrows
@@ -486,50 +489,40 @@ def eigenvalues_in_field(m: Matrix) -> list:
             if determinant(m - ident.scale(c)) == f.zero():
                 out.append(c)
         return out
-    coeffs = charpoly(m)  # Fractions
-    # clear denominators to integer coefficients
-    from math import lcm
-
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
+    coeffs = charpoly(m)  # Fractions, lowest degree first
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out t; eigenvalue 0 handled below
-    out = []
-    ident = Matrix.identity(f, n)
-    if determinant(m) == f.zero():
-        out.append(f.zero())
-    if not ints:
-        return out
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 == 0:
-        return out
+    out = [f.zero()] if ints[0] == 0 else []
+    while ints[0] == 0:
+        ints = ints[1:]  # factor out t; its root 0 is recorded above
 
-    def divisors(n: int) -> list[int]:
-        out, i = [], 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                if i != n // i:
-                    out.append(n // i)
-            i += 1
-        return sorted(out)
-
-    ps = divisors(a0)
-    qs = divisors(an)
-    from fractions import Fraction
+    def is_root(p: int, q: int) -> bool:
+        value, qk = 0, 1
+        for c in reversed(ints):
+            value = value * p + c * qk
+            qk *= q
+        return value == 0
 
     seen = set(out)
-    for p in ps:
-        for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                if determinant(m - ident.scale(cand)) == f.zero():
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            for num in (p, -p):
+                cand = Fraction(num, q)
+                if cand not in seen and is_root(num, q):
                     seen.add(cand)
                     out.append(cand)
     return out
+
+
+def _divisors(n: int) -> list[int]:
+    out, i = [], 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return sorted(out)
 
 
 def eigenspace(m: Matrix, eigenvalue) -> Subspace:
@@ -538,15 +531,6 @@ def eigenspace(m: Matrix, eigenvalue) -> Subspace:
 
 def vec_add(field: Field, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.add(field.coerce(a), field.coerce(b)) for a, b in zip(u, v))
-
-
-def vec_sub(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.sub(field.coerce(a), field.coerce(b)) for a, b in zip(u, v))
-
-
-def vec_scale(field: Field, c, v: Sequence) -> tuple:
-    c = field.coerce(c)
-    return tuple(field.mul(c, field.coerce(a)) for a in v)
 
 
 def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:

@@ -47,13 +47,10 @@ def random_one_dim_weak(alg: LeibnizAlgebra, rng: random.Random) -> Bimodule:
     """Random 1-dim weak bimodule: both functionals vanish on products."""
     f = alg.field
     from .algebra import products_and_series
-    from .linalg import nullspace, unit_vector
+    from .linalg import nullspace
 
     span = products_and_series(alg)["product_span"]
-    if span.dim == 0:
-        funcs = [unit_vector(f, alg.dim, i) for i in range(alg.dim)]
-    else:
-        funcs = nullspace(span.basis).basis_vectors()
+    funcs = nullspace(span.basis).basis_vectors()
 
     def combo():
         out = [f.zero()] * alg.dim

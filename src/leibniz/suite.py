@@ -63,7 +63,7 @@ from .groth import (
     verify_ring_vs_modules,
     weight_rule,
 )
-from .linalg import Matrix, rref_span, unit_vector
+from .linalg import Matrix, Subspace, unit_vector
 from .samples import random_full_bimodule, random_weak_bimodule
 from .tensor import (
     nonassociativity_witness,
@@ -90,13 +90,13 @@ def check_kernels(seed=0) -> CheckResult:
     """Leibniz kernels of the builtin algebras and their Lie quotients."""
     probs = []
     a = make_A(QQ)
-    if leibniz_kernel(a) != rref_span([(0, 1)], 2, QQ):
+    if leibniz_kernel(a) != Subspace.span(QQ, 2, [(0, 1)]):
         probs.append("solvable kernel is not the line through e")
     n = make_N(QQ)
-    if leibniz_kernel(n) != rref_span([(0, 1)], 2, QQ):
+    if leibniz_kernel(n) != Subspace.span(QQ, 2, [(0, 1)]):
         probs.append("nilpotent kernel is not the line through c")
     s = make_S(QQ)
-    want = rref_span([unit_vector(QQ, 5, 3), unit_vector(QQ, 5, 4)], 5, QQ)
+    want = Subspace.span(QQ, 5, [unit_vector(QQ, 5, 3), unit_vector(QQ, 5, 4)])
     if leibniz_kernel(s) != want:
         probs.append("simple-algebra kernel is not the 2-dim module part")
     for alg, expect_dim in ((a, 1), (n, 1), (s, 3)):
@@ -114,7 +114,7 @@ def check_truncation_solvable(seed=0) -> CheckResult:
     """Adjoint square of the 2-dim solvable algebra: 1-dim truncation."""
     ad = adjoint(make_A(QQ))
     td = truncation_data(ad, ad)
-    line = rref_span([(0, 0, 0, 1)], 4, QQ)
+    line = Subspace.span(QQ, 4, [(0, 0, 0, 1)])
     ok = (
         td.t == line
         and td.t0 == line

@@ -36,7 +36,7 @@ from .bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from .linalg import Matrix, Subspace, nullspace, rref_span, vec_add, vec_kron
+from .linalg import Matrix, Subspace, nullspace, vec_add, vec_kron
 
 
 @dataclass
@@ -46,9 +46,6 @@ class TensorBimodule:
     module: Bimodule
     left: Bimodule
     right: Bimodule
-
-    def flat_index(self, i: int, j: int) -> int:
-        return i * self.right.dim + j
 
 
 def tensor_bimodule(a: Bimodule, b: Bimodule) -> TensorBimodule:
@@ -70,11 +67,11 @@ def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:
     vecs = [
         vec_kron(f, x, y) for x in u.basis_vectors() for y in w.basis_vectors()
     ]
-    return rref_span(vecs, ambient, f)
+    return Subspace.span(f, ambient, vecs)
 
 
 def image_subspace(p: Matrix, s: Subspace) -> Subspace:
-    return rref_span([p.apply(v) for v in s.basis_vectors()], p.nrows, p.field)
+    return Subspace.span(p.field, p.nrows, [p.apply(v) for v in s.basis_vectors()])
 
 
 def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
@@ -99,7 +96,7 @@ def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
                             f, vec_kron(f, ma, nyb), vec_kron(f, mya, nb)
                         )
                     )
-    return rref_span(gens, ambient, f)
+    return Subspace.span(f, ambient, gens)
 
 
 @dataclass
@@ -258,12 +255,7 @@ def vanishing_functional(alg: LeibnizAlgebra):
         raise BimoduleError(
             "algebra is perfect: no nonzero functional kills all products"
         )
-    span = info["product_span"]
-    if span.dim == 0:
-        lam = [alg.field.zero()] * alg.dim
-        lam[0] = alg.field.one()
-        return tuple(lam)
-    return nullspace(span.basis).basis_vectors()[0]
+    return nullspace(info["product_span"].basis).basis_vectors()[0]
 
 
 def nonassociativity_witness(alg: LeibnizAlgebra) -> dict:

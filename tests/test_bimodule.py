@@ -27,7 +27,7 @@ from leibniz.bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, Subspace, rref_span
+from leibniz.linalg import Matrix, Subspace
 from leibniz.samples import random_weak_bimodule
 
 F5 = FF(5)
@@ -139,7 +139,7 @@ class TestOneDimFamily:
 class TestKernels:
     def test_adjoint_antisym_kernel_is_leibniz_kernel(self):
         data = kernels_and_invariants(adjoint(make_A(QQ)))
-        assert data["M0"] == rref_span([(0, 1)], 2, QQ)
+        assert data["M0"] == Subspace.span(QQ, 2, [(0, 1)])
 
     def test_nilpotent_kernel_char_split(self):
         assert kernels_and_invariants(adjoint(make_N(QQ)))["M0"].dim == 1
@@ -174,13 +174,13 @@ class TestSubQuotient:
     def test_closure_examples_by_hand(self):
         ad = adjoint(make_A(QQ))
         # h.e = e and e absorbs: closure of e stops at span{e}
-        assert subbimodule_closure(ad, [(0, 1)]) == rref_span([(0, 1)], 2, QQ)
+        assert subbimodule_closure(ad, [(0, 1)]) == Subspace.span(QQ, 2, [(0, 1)])
         # closure of h picks up e through h.e = e
         assert subbimodule_closure(ad, [(1, 0)]).dim == 2
 
     def test_restrict_line_is_antisymmetric(self):
         ad = adjoint(make_A(QQ))
-        line = rref_span([(0, 1)], 2, QQ)
+        line = Subspace.span(QQ, 2, [(0, 1)])
         sub = restrict(ad, line)
         assert classify_flags(sub)["anti_symmetric"]
         assert sub.lam[0] == Matrix(QQ, [[1]])  # h still scales e by 1
@@ -206,7 +206,7 @@ class TestSubQuotient:
     def test_non_invariant_rejected(self):
         ad = adjoint(make_A(QQ))
         with pytest.raises(BimoduleError):
-            restrict(ad, rref_span([(1, 0)], 2, QQ))
+            restrict(ad, Subspace.span(QQ, 2, [(1, 0)]))
 
     def test_dims_add_in_quotient(self):
         ad = adjoint(make_S(QQ))
@@ -335,7 +335,7 @@ class TestHomCandidate:
 
     def test_projection_to_quotient_intertwines(self):
         ad = adjoint(make_A(QQ))
-        line = rref_span([(0, 1)], 2, QQ)
+        line = Subspace.span(QQ, 2, [(0, 1)])
         q = quotient(ad, line)
         proj = Matrix(QQ, [[1, 0]])  # kill e, keep h
         assert BimoduleHomCandidate(ad, q, proj).intertwines()

@@ -145,9 +145,9 @@ class TestBruteforceOracle:
     def test_nilpotent_adjoint_contains_kernel_line(self):
         mod = adjoint(make_N(F3))
         spaces = bruteforce_invariant_subspaces(mod)
-        from leibniz.linalg import rref_span
+        from leibniz.linalg import Subspace
 
-        assert any(s == rref_span([(0, 1)], 2, F3) for s in spaces)
+        assert any(s == Subspace.span(F3, 2, [(0, 1)]) for s in spaces)
 
     def test_bounds_enforced(self):
         with pytest.raises(BimoduleError):
@@ -180,3 +180,21 @@ class TestBruteforceOracle:
         assert multiset(rep.factors) == multiset(oracle_composition_factors(mod))
         assert rep.certified
         assert sorted(rep.dims) == [1, 2]
+
+
+class TestSl2SmallCharacteristic:
+    """The highest-weight path needs characteristic 0 or above the dimension;
+    below that, sl2 modules go to spin and must still match the oracle."""
+
+    @pytest.mark.parametrize("weight", [3, 4])
+    @pytest.mark.parametrize("build", [symmetrize, antisymmetrize])
+    def test_sl2_over_f3_matches_oracle(self, build, weight):
+        mod = build(make_sl2(F3), sl2_module_matrices(F3, weight))
+        rep = chop(mod)
+        oracle = oracle_composition_factors(
+            mod, bruteforce_invariant_subspaces(mod, max_dim=5)
+        )
+        assert multiset(rep.factors) == multiset(oracle)
+        assert sorted(rep.dims) == ([1, 1, 2] if weight == 3 else [1, 2, 2])
+        assert rep.certified
+        assert "sl2" not in rep.strategy

@@ -218,3 +218,18 @@ class TestSeedHandling:
         c = suite.check_oracle_equivalence(seed=9)
         d = suite.check_oracle_equivalence(seed=9)
         assert (c.ok, c.details) == (d.ok, d.details)
+
+
+class TestOneLineErrors:
+    def test_missing_module_file(self, capsys):
+        code, _, err = run(capsys, "bimodule", "--example", "A", "--module", "file:/missing")
+        assert code == 1
+        assert err.startswith("error: cannot read /missing")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_malformed_seed_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEIBNIZ_SEED", "abc")
+        code, _, err = run(capsys, "check", "--example", "A")
+        assert code == 1
+        assert "LEIBNIZ_SEED" in err
+        assert len(err.strip().splitlines()) == 1

@@ -14,12 +14,10 @@ from leibniz.linalg import (
     charpoly,
     determinant,
     eigenvalues_in_field,
+    induced_on_quotient,
     invert,
-    kron,
     nullspace,
     rank,
-    rref_span,
-    solve_membership,
     unit_vector,
     vec_kron,
 )
@@ -85,22 +83,22 @@ class TestScalars:
 
 class TestRrefSpan:
     def test_empty_span(self):
-        s = rref_span([], 3, QQ)
+        s = Subspace.span(QQ, 3, [])
         assert s.dim == 0 and s.ambient_dim == 3
 
     def test_collinear(self):
-        s = rref_span([(1, 0), (2, 0)], 2, QQ)
+        s = Subspace.span(QQ, 2, [(1, 0), (2, 0)])
         assert s.dim == 1
         assert s.basis.rows == ((Fraction(1), Fraction(0)),)
 
     def test_rank_two_matches_determinant_oracle(self):
         vecs = [(1, 1), (1, -1)]
         assert det2(vecs) != 0
-        assert rref_span(vecs, 2, QQ).dim == 2
+        assert Subspace.span(QQ, 2, vecs).dim == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(LinAlgError):
-            rref_span([(1, 0, 0)], 2, QQ)
+            Subspace.span(QQ, 2, [(1, 0, 0)])
 
     def test_canonical_form_order_insensitive(self):
         rng = random.Random(7)
@@ -111,13 +109,13 @@ class TestRrefSpan:
             shuffled = vecs[:]
             rng.shuffle(shuffled)
             scaled = [tuple(2 * x for x in v) for v in vecs]
-            a = rref_span(vecs, 4, QQ)
-            b = rref_span(shuffled + scaled, 4, QQ)
+            a = Subspace.span(QQ, 4, vecs)
+            b = Subspace.span(QQ, 4, shuffled + scaled)
             assert a == b
 
     def test_idempotent(self):
-        s = rref_span([(1, 2, 3), (0, 1, 1)], 3, QQ)
-        again = rref_span(s.basis.rows, 3, QQ)
+        s = Subspace.span(QQ, 3, [(1, 2, 3), (0, 1, 1)])
+        again = Subspace.span(QQ, 3, s.basis.rows)
         assert again == s
 
 
@@ -131,7 +129,7 @@ class TestNullspace:
     def test_ones_matrix_by_substitution(self):
         m = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
         ns = nullspace(m)
-        assert ns == rref_span([(1, -1)], 2, QQ)
+        assert ns == Subspace.span(QQ, 2, [(1, -1)])
         for v in ns.basis.rows:
             assert all(x == 0 for x in m.apply(v))
 
@@ -147,19 +145,19 @@ class TestNullspace:
 
 class TestSubspaceOps:
     def test_sum_and_intersection_with_zero(self):
-        u = rref_span([(1, 2, 0)], 3, QQ)
+        u = Subspace.span(QQ, 3, [(1, 2, 0)])
         zero = Subspace.zero(QQ, 3)
         assert u.sum(zero) == u
         assert u.intersect(zero) == zero
 
     def test_axes_sum_full(self):
-        e1 = rref_span([(1, 0)], 2, QQ)
-        e2 = rref_span([(0, 1)], 2, QQ)
+        e1 = Subspace.span(QQ, 2, [(1, 0)])
+        e2 = Subspace.span(QQ, 2, [(0, 1)])
         assert e1.sum(e2) == Subspace.full(QQ, 2)
 
     def test_intersection_via_containment_oracle(self):
-        u = rref_span([(1, 1, 0)], 3, QQ)
-        w = rref_span([(1, 1, 0), (0, 0, 1)], 3, QQ)
+        u = Subspace.span(QQ, 3, [(1, 1, 0)])
+        w = Subspace.span(QQ, 3, [(1, 1, 0), (0, 0, 1)])
         # oracle: u is contained in w, so the intersection must be u itself
         assert w.contains_subspace(u)
         assert u.intersect(w) == u
@@ -170,21 +168,21 @@ class TestSubspaceOps:
         rng = random.Random(seed)
         field = rng.choice([QQ, F5])
         n = rng.randint(1, 5)
-        mk = lambda: rref_span(
+        mk = lambda: Subspace.span(
+            field,
+            n,
             [
                 tuple(rng.randint(-2, 2) for _ in range(n))
                 for _ in range(rng.randint(0, 3))
             ],
-            n,
-            field,
         )
         u, v = mk(), mk()
         assert u.sum(v).dim + u.intersect(v).dim == u.dim + v.dim
 
     def test_membership_coordinates_reconstruct(self):
-        s = rref_span([(1, 2, 0), (0, 0, 3)], 3, QQ)
+        s = Subspace.span(QQ, 3, [(1, 2, 0), (0, 0, 3)])
         v = (2, 4, 5)
-        coords = solve_membership(s, v)
+        coords = s.coordinates(v)
         assert coords is not None
         recon = [0, 0, 0]
         for c, row in zip(coords, s.basis.rows):
@@ -193,13 +191,13 @@ class TestSubspaceOps:
         assert tuple(recon) == tuple(map(Fraction, v))
 
     def test_membership_trivia(self):
-        s = rref_span([(1, 0)], 2, QQ)
-        assert solve_membership(s, (0, 0)) == [0]  # zero vector: zero coords
-        assert solve_membership(s, (1, 0)) == [1]
-        assert solve_membership(s, (0, 1)) is None
+        s = Subspace.span(QQ, 2, [(1, 0)])
+        assert s.coordinates((0, 0)) == [0]  # zero vector: zero coords
+        assert s.coordinates((1, 0)) == [1]
+        assert s.coordinates((0, 1)) is None
 
     def test_quotient_projection(self):
-        s = rref_span([(1, 1, 0)], 3, QQ)
+        s = Subspace.span(QQ, 3, [(1, 1, 0)])
         assert s.complement_coords() == [1, 2]
         assert s.project_to_quotient((1, 1, 0)) == (0, 0)
         assert s.project_to_quotient((1, 0, 2)) == (-1, 2)
@@ -208,11 +206,11 @@ class TestSubspaceOps:
 class TestKron:
     def test_identity(self):
         i2 = Matrix.identity(QQ, 2)
-        assert kron(i2, i2) == Matrix.identity(QQ, 4)
+        assert i2.kron(i2) == Matrix.identity(QQ, 4)
 
     def test_zero_absorbs(self):
         a = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
-        assert kron(a, Matrix.zeros(QQ, 2, 2)).is_zero()
+        assert a.kron(Matrix.zeros(QQ, 2, 2)).is_zero()
 
     def test_vector_convention(self):
         # (A kron B)(u kron v) == Au kron Bv in the left-major ordering
@@ -221,7 +219,7 @@ class TestKron:
         b = random_matrix(F5, 3, 3, rng)
         u = tuple(F5.from_int(rng.randint(0, 4)) for _ in range(2))
         v = tuple(F5.from_int(rng.randint(0, 4)) for _ in range(3))
-        lhs = kron(a, b).apply(vec_kron(F5, u, v))
+        lhs = a.kron(b).apply(vec_kron(F5, u, v))
         rhs = vec_kron(F5, a.apply(u), b.apply(v))
         assert lhs == rhs
 
@@ -231,7 +229,39 @@ class TestKron:
         rng = random.Random(seed)
         field = rng.choice([QQ, F5])
         a, b, c, d = (random_matrix(field, 2, 2, rng) for _ in range(4))
-        assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+        assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
+
+
+class TestShape:
+    def test_zero_row_matrix_keeps_columns(self):
+        z = Matrix.zeros(QQ, 0, 3)
+        assert z.shape == (0, 3)
+        assert nullspace(z).dim == 3
+        assert z != Matrix.zeros(QQ, 0, 2)
+
+    def test_transpose_of_zero_column_matrix(self):
+        assert Matrix.zeros(QQ, 3, 0).transpose().shape == (0, 3)
+        assert Matrix.zeros(QQ, 0, 3).transpose().shape == (3, 0)
+
+    def test_products_keep_shape(self):
+        a, b = Matrix.zeros(QQ, 0, 2), Matrix.zeros(QQ, 2, 3)
+        assert (a * b).shape == (0, 3)
+        assert a.kron(b).shape == (0, 6)
+        assert (a + a).shape == (0, 2)
+
+    def test_empty_span_basis_shape(self):
+        assert Subspace.zero(QQ, 4).basis.shape == (0, 4)
+
+    def test_coordinates_check_vector_length(self):
+        with pytest.raises(LinAlgError):
+            Subspace.span(QQ, 2, [(1, 0)]).coordinates((1, 0, 0))
+
+    def test_induced_on_quotient(self):
+        # the shift e1 -> e0 -> 0 keeps span{e0}; on the quotient it is zero
+        m = Matrix.from_ints(QQ, [[0, 1], [0, 0]])
+        line = Subspace.span(QQ, 2, [(1, 0)])
+        assert induced_on_quotient(m, line) == Matrix.zeros(QQ, 1, 1)
+        assert induced_on_quotient(m, Subspace.full(QQ, 2)).shape == (0, 0)
 
 
 class TestMatrixExtras:

@@ -1,0 +1,197 @@
+"""Exact linear algebra against an independent oracle: sympy's DomainMatrix
+over QQ and GF(p).
+
+Every answer of ``leibniz.linalg`` is recomputed by sympy from the same
+entries, including 0 x n and n x 0 inputs and matrices whose eigenvalues
+repeat or are non-integer rationals.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF, Poly, QQ as SQQ, symbols
+from sympy.polys.matrices import DomainMatrix
+
+from leibniz.fields import FF, QQ
+from leibniz.linalg import (
+    LinAlgError,
+    Matrix,
+    Subspace,
+    charpoly,
+    determinant,
+    eigenvalues_in_field,
+    invert,
+    nullspace,
+    rank,
+)
+
+FIELDS = [QQ, FF(2), FF(3), FF(5), FF(7)]
+
+
+def domain(field):
+    return SQQ if field.characteristic == 0 else GF(field.characteristic)
+
+
+def to_sympy(field, x):
+    if field.characteristic == 0:
+        return SQQ(x.numerator, x.denominator)
+    return domain(field)(int(x))
+
+
+def from_sympy(field, x):
+    if field.characteristic == 0:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x) % field.characteristic
+
+
+def dm(m: Matrix) -> DomainMatrix:
+    f = m.field
+    return DomainMatrix(
+        [[to_sympy(f, x) for x in row] for row in m.rows], m.shape, domain(f)
+    )
+
+
+def rows_of(d: DomainMatrix, field) -> list:
+    return [[from_sympy(field, x) for x in row] for row in d.to_list()]
+
+
+def scalar(field, rng):
+    if field.characteristic == 0 and rng.random() < 0.3:
+        return Fraction(rng.randint(-3, 3), rng.choice([2, 3]))
+    return field.coerce(rng.randint(-3, 3))
+
+
+def random_matrix(field, n, m, rng) -> Matrix:
+    return Matrix(field, [[scalar(field, rng) for _ in range(m)] for _ in range(n)], m)
+
+
+@st.composite
+def matrices(draw, square=False, fields=FIELDS, max_dim=4):
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(0, max_dim))
+    m = n if square else draw(st.integers(0, max_dim))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_matrix(field, n, m, rng)
+
+
+class TestAgainstDomainMatrix:
+    @given(matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rank(self, m):
+        assert rank(m) == dm(m).rank()
+
+    @given(matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_rref_of_span(self, m):
+        span = Subspace.span(m.field, m.ncols, m.rows)
+        reduced, pivots = dm(m).rref()
+        want = rows_of(reduced, m.field)[: len(pivots)]
+        assert span.pivots == tuple(pivots)
+        assert span.basis == Matrix(m.field, want, m.ncols)
+
+    @given(matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace(self, m):
+        ns = nullspace(m)
+        assert ns.ambient_dim == m.ncols
+        assert ns.dim == m.ncols - dm(m).rank()
+        for v in ns.basis_vectors():
+            assert all(x == 0 for x in m.apply(v))
+
+    @given(matrices(), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_intersect_dimension(self, m, seed):
+        f, n = m.field, m.ncols
+        other = random_matrix(f, random.Random(seed).randint(0, 4), n, random.Random(seed))
+        u = Subspace.span(f, n, m.rows)
+        w = Subspace.span(f, n, other.rows)
+        stacked = Matrix(f, m.rows + other.rows, n)
+        want = dm(m).rank() + dm(other).rank() - dm(stacked).rank()
+        meet = u.intersect(w)
+        assert meet.dim == want
+        assert u.contains_subspace(meet) and w.contains_subspace(meet)
+
+    @given(matrices(square=True))
+    @settings(max_examples=80, deadline=None)
+    def test_determinant_and_inverse(self, m):
+        det = dm(m).det()
+        assert determinant(m) == from_sympy(m.field, det)
+        if det == 0:
+            with pytest.raises(LinAlgError):
+                invert(m)
+        else:
+            assert invert(m) == Matrix(m.field, rows_of(dm(m).inv(), m.field), m.ncols)
+
+    @given(matrices(square=True, fields=[QQ, FF(5), FF(7)]))
+    @settings(max_examples=80, deadline=None)
+    def test_charpoly(self, m):
+        want = [from_sympy(m.field, c) for c in dm(m).charpoly()]
+        assert charpoly(m) == list(reversed(want))
+
+    @given(matrices(square=True))
+    @settings(max_examples=80, deadline=None)
+    def test_eigenvalues_in_field(self, m):
+        got = eigenvalues_in_field(m)
+        assert len(set(got)) == len(got)
+        assert set(got) == sympy_eigenvalues(m)
+
+
+def sympy_eigenvalues(m: Matrix) -> set:
+    f = m.field
+    if f.characteristic:
+        ident = Matrix.identity(f, m.nrows)
+        return {
+            c for c in f.elements() if dm(m - ident.scale(c)).det() == 0
+        }
+    if m.nrows == 0:
+        return set()
+    t = symbols("t")
+    roots = Poly(dm(m).charpoly(), t, domain="QQ").ground_roots()
+    return {Fraction(int(r.p), int(r.q)) for r in roots}
+
+
+def conjugated(diagonal, upper, rng) -> Matrix:
+    """P (D + N) P^-1 for an integer P with det +-1, diagonal D and a
+    strictly upper triangular N: eigenvalues are exactly ``diagonal``."""
+    n = len(diagonal)
+    core = [
+        [diagonal[i] if i == j else (upper[i] if j == i + 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    p = Matrix.identity(QQ, n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            step = [[int(a == b) for b in range(n)] for a in range(n)]
+            step[i][j] = rng.choice([-1, 1])
+            p = p * Matrix.from_ints(QQ, step)
+    return p * Matrix(QQ, core) * invert(p)
+
+
+class TestEigenvalueShapes:
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=5),
+        st.lists(st.integers(0, 1), min_size=5, max_size=5),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_matrices_with_repeated_eigenvalues(self, diag, upper, seed):
+        diag = diag + diag[:1]  # at least one repeat
+        m = conjugated(diag, upper, random.Random(seed))
+        assert all(x.denominator == 1 for row in m.rows for x in row)
+        got = eigenvalues_in_field(m)
+        assert sorted(got) == sorted(set(diag))
+        assert set(got) == sympy_eigenvalues(m)
+
+    @given(
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=4),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_integer_rational_eigenvalues(self, diag, seed):
+        m = conjugated(diag, [1] * 4, random.Random(seed))
+        got = eigenvalues_in_field(m)
+        assert sorted(got) == sorted(set(diag))
+        assert set(got) == sympy_eigenvalues(m)

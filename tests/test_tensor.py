@@ -24,7 +24,7 @@ from leibniz.bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, rref_span, unit_vector, vec_kron
+from leibniz.linalg import Matrix, Subspace, unit_vector, vec_kron
 from leibniz.samples import random_full_bimodule, random_weak_bimodule
 from leibniz.tensor import (
     flip_matrix,
@@ -72,7 +72,7 @@ class TestTensorBimodule:
         assert rep.llm and rep.lml and not rep.mll
         # the defect span is exactly the line through e (x) e
         s = mll_defect_span(ad, ad)
-        assert s == rref_span([(0, 0, 0, 1)], 4, QQ)
+        assert s == Subspace.span(QQ, 4, [(0, 0, 0, 1)])
 
     def test_sym_pair_gives_symmetric_full(self):
         alg = make_A(QQ)
@@ -100,7 +100,7 @@ class TestTruncationData:
     def test_solvable_adjoint_square(self):
         ad = adjoint(make_A(QQ))
         td = truncation_data(ad, ad)
-        line = rref_span([(0, 0, 0, 1)], 4, QQ)  # e (x) e
+        line = Subspace.span(QQ, 4, [(0, 0, 0, 1)])  # e (x) e
         assert td.t == line and td.t0 == line
         assert td.containment_verified and td.t_equals_t0
 
@@ -231,7 +231,7 @@ class TestStructuralChecks:
         ad = adjoint(make_A(QQ))
         gamma = flip_matrix(ad, ad)
         t = truncation_kernel(ad, ad)
-        image = rref_span([gamma.apply(v) for v in t.basis_vectors()], 4, QQ)
+        image = Subspace.span(QQ, 4, [gamma.apply(v) for v in t.basis_vectors()])
         assert image == t  # e (x) e is flip-invariant
 
     def test_element_level_action_formula(self):

@@ -306,6 +306,8 @@ def make_e(field: Field) -> LeibnizAlgebra:
 
 
 def make_abelian(field: Field, n: int, names=None) -> LeibnizAlgebra:
+    if n < 0:
+        raise AlgebraError(f"abelian dimension must be non-negative, not {n}")
     if names is None:
         names = [f"a{i}" for i in range(n)] if n != 1 else ["e"]
     z = field.zero()
@@ -358,6 +360,8 @@ def sl2_module_matrices(field: Field, n: int):
     Basis v_0..v_n with h v_k = (n-2k) v_k, e v_k = (n-k+1) v_{k-1},
     f v_k = (k+1) v_{k+1}.
     """
+    if n < 0:
+        raise AlgebraError(f"highest weight must be non-negative, not {n}")
     f = field
     d = n + 1
     z = f.zero()

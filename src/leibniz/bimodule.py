@@ -110,6 +110,8 @@ class Bimodule:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise BimoduleError(f"bimodule JSON parse error: {exc}") from None
+        if not isinstance(doc, dict):
+            raise BimoduleError("bimodule document must be a JSON object")
         if algebra is None:
             alg_doc = doc.get("algebra")
             if alg_doc is None:
@@ -230,6 +232,8 @@ def adjoint(algebra: LeibnizAlgebra) -> Bimodule:
 
 
 def trivial_bimodule(algebra: LeibnizAlgebra, dim: int = 1) -> Bimodule:
+    if dim < 0:
+        raise BimoduleError(f"bimodule dimension must be non-negative, not {dim}")
     z = [Matrix.zeros(algebra.field, dim, dim) for _ in range(algebra.dim)]
     return Bimodule(algebra, list(z), list(z))
 
@@ -447,16 +451,16 @@ def duality_morphism_checks(mod: Bimodule) -> dict:
 
     checks = {}
     checks["ev"] = BimoduleHomCandidate(
-        tensor_bimodule(dmod, mod).module, triv, ev
+        tensor_bimodule(dmod, mod), triv, ev
     ).intertwines()
     checks["ev_prime"] = BimoduleHomCandidate(
-        tensor_bimodule(mod, dmod).module, triv, ev
+        tensor_bimodule(mod, dmod), triv, ev
     ).intertwines()
     checks["coev"] = BimoduleHomCandidate(
-        triv, tensor_bimodule(mod, dmod).module, coev_col
+        triv, tensor_bimodule(mod, dmod), coev_col
     ).intertwines()
     checks["coev_prime"] = BimoduleHomCandidate(
-        triv, tensor_bimodule(dmod, mod).module, coev_col
+        triv, tensor_bimodule(dmod, mod), coev_col
     ).intertwines()
     ddual = dual(dmod)
     checks["double_dual"] = BimoduleHomCandidate(

@@ -24,6 +24,7 @@ independent of the spin machinery so the two can check each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -151,13 +152,20 @@ def common_eigenvector(mats, field, ambient: int):
 # strategy 2: sl2 highest-weight peeling
 
 
+@functools.lru_cache(maxsize=16)
+def _builtin_sl2_algebras(field) -> tuple:
+    """The builtin sl2 and its hemi-semidirect extension, built once per
+    field; both are immutable."""
+    return make_sl2(field), make_S(field)
+
+
 def sl2_triple_indices(alg: LeibnizAlgebra):
     """Indices of an (e, h, f) triple when the algebra is the builtin sl2
     or its hemi-semidirect extension; None otherwise."""
     f = alg.field
     if f.characteristic == 2:
         return None
-    if alg == make_sl2(f) or alg == make_S(f):
+    if alg in _builtin_sl2_algebras(f):
         return (0, 1, 2)
     return None
 

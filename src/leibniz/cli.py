@@ -3,7 +3,7 @@
 Examples:
   leibniz check --example A
   leibniz kernel --example hemi-sl2-L1
-  leibniz trunc --bar --example A --adjoint
+  leibniz trunc --bar --example A
   leibniz trunc-report --example N --field Fp:2
   leibniz chop --example sl2 --left sym:L1
   leibniz envelope --example e --which ulweak --cutoff 2 --dims
@@ -242,11 +242,11 @@ def cmd_tensor(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
     t = tensor_bimodule(left, right)
-    rep = t.module.axiom_report()
+    rep = t.axiom_report()
     defect = mll_defect_span(left, right)
     report = {
         "command": "tensor",
-        "dim": t.module.dim,
+        "dim": t.dim,
         "axioms": {"llm": rep.llm, "lml": rep.lml, "mll": rep.mll, "kind": rep.kind},
         "defect_span_dim": defect.dim,
         "mll_iff_defect_zero": rep.mll == (defect.dim == 0),
@@ -512,15 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default="Q", help="Q or Fp:<p> (default Q)")
         p.add_argument("--algebra-file", help="path to an algebra JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=default_seed())
         if modules:
             p.add_argument("--left", help="module spec (default adjoint)")
             p.add_argument("--right", help="module spec (default adjoint)")
-            p.add_argument(
-                "--adjoint",
-                action="store_true",
-                help="use the adjoint bimodule on both sides (the default)",
-            )
 
     p = sub.add_parser("check", help="validate an algebra table")
     common(p)
@@ -558,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chop", help="composition series of a bimodule")
     common(p, modules=True)
+    p.add_argument("--seed", type=int, default=default_seed())
     p.set_defaults(fn=cmd_chop)
 
     p = sub.add_parser("envelope", help="degree-truncated enveloping algebras")
@@ -579,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--lhs", required=True)
     pm.add_argument("--rhs", required=True)
     pm.add_argument("--json", action="store_true")
-    pm.add_argument("--seed", type=int, default=default_seed())
     pm.set_defaults(fn=cmd_gr)
     pp = grsub.add_parser("props", help="identity checkers and criterion scan")
     pp.add_argument("--rule", required=True)
@@ -591,8 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = grsub.add_parser("verify", help="ring vs module reconciliation")
     pv.add_argument("--rule", required=True, help="sl2 | weight:1")
     pv.add_argument("--max", type=int, default=2, help="max tag / weight radius")
-    pv.add_argument("--pairs", help="semicolon-separated pair indices (optional)")
-    pv.add_argument("--seed", type=int, default=default_seed())
+    pv.add_argument(
+        "--pairs", help="semicolon-separated pairs of labels, e.g. S(1)xA(2);UxS(1)"
+    )
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(fn=cmd_gr)
 

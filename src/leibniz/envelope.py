@@ -14,7 +14,12 @@ for inhomogeneous ideals this can undercount the true slice, so the
 filtered dimensions are documented as upper bounds on the quotient
 dimensions and are asserted only where a closed form pins them down.
 
-Monomial order: degree-lexicographic, left-action generators first.
+Monomial order: degree first, longest words leading, and lexicographic
+within a degree with left-action generators first.  One row reduction of
+each ideal slice in this order gives membership and normal forms (the
+remainder, with the longest words reduced first) as well as the filtered
+dimensions (the echelon rows that pivot on short words); compare
+Bergman's diamond lemma (Adv. Math. 29, 1978).
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ class PresentedAlgebra:
         for rel in self.relations:
             if poly_degree(rel) > 2:
                 raise EnvelopeError("relations must have degree at most 2")
+        self._levels: list[list[Word]] = [[()]]  # words of each length
         self._words: dict[int, list[Word]] = {}
         self._index: dict[int, dict[Word, int]] = {}
         self._reducers: dict[int, RowReducer] = {}
@@ -103,25 +109,27 @@ class PresentedAlgebra:
         except ValueError:
             raise EnvelopeError(f"no generator named {name!r}") from None
 
+    def _level(self, k: int) -> list[Word]:
+        """Words of length exactly k, in lexicographic order."""
+        while len(self._levels) <= k:
+            last = self._levels[-1]
+            self._levels.append([w + (g,) for w in last for g in range(self.ngens)])
+        return self._levels[k]
+
     def slice_words(self, d: int) -> list[Word]:
+        """Words of length <= d, longest first and each length in
+        lexicographic order.  The words of length <= e are thus the tail of
+        every slice, and an echelon basis of an ideal slice pivots on its
+        longest words first."""
         if d not in self._words:
-            words: list[Word] = []
-            level = [()]
-            words.extend(level)
-            for _ in range(d):
-                level = [w + (g,) for w in level for g in range(self.ngens)]
-                words.extend(level)
+            words = [w for k in range(d, -1, -1) for w in self._level(k)]
             self._words[d] = words
             self._index[d] = {w: i for i, w in enumerate(words)}
         return self._words[d]
 
-    def word_index(self, d: int) -> dict[Word, int]:
-        self.slice_words(d)
-        return self._index[d]
-
     def poly_to_vec(self, poly: NCPoly, d: int) -> list:
-        idx = self.word_index(d)
         vec = [self.field.zero()] * len(self.slice_words(d))
+        idx = self._index[d]
         for w, c in poly.items():
             if len(w) > d:
                 raise EnvelopeError(f"word of length {len(w)} above slice degree {d}")
@@ -140,24 +148,13 @@ class PresentedAlgebra:
             raise EnvelopeError(f"degree {d} above cutoff {self.cutoff}")
         if d not in self._reducers:
             red = RowReducer(self.field, len(self.slice_words(d)))
-            idx = self.word_index(d)
-            zero = self.field.zero()
             for rel in self.relations:
-                budget = d - 2
-                for la in range(budget + 1):
-                    for u in (
-                        w for w in self.slice_words(d) if len(w) == la
-                    ):
-                        for lb in range(budget - la + 1):
-                            for v in (
-                                w for w in self.slice_words(d) if len(w) == lb
-                            ):
-                                vec = [zero] * len(self.slice_words(d))
-                                for w, c in rel.items():
-                                    vec[idx[u + w + v]] = self.field.add(
-                                        vec[idx[u + w + v]], c
-                                    )
-                                red.insert(vec)
+                for la in range(d - 1):
+                    for u in self._level(la):
+                        for lb in range(d - 1 - la):
+                            for v in self._level(lb):
+                                shifted = {u + w + v: c for w, c in rel.items()}
+                                red.insert(self.poly_to_vec(shifted, d))
             self._reducers[d] = red
         return self._reducers[d]
 
@@ -165,21 +162,16 @@ class PresentedAlgebra:
         """dim(computed ideal slice at degree ``top``, intersected with the
         words of degree <= d) for d = 0..top.
 
-        Re-reduce the ideal basis with coordinates ordered by descending
-        degree; rows whose pivot sits in the degree <= d tail are exactly a
-        basis of the intersection.
+        The words of degree <= d are the last columns of the slice, so the
+        echelon rows pivoting there are exactly a basis of the intersection.
         """
         top = max(top, 2)
-        base = self.ideal_reducer(top)
+        pivots = self.ideal_reducer(top).pivots
         width = len(self.slice_words(top))
-        rev = RowReducer(self.field, width)
-        for row in base.rows:
-            rev.insert(list(reversed(row)))
-        dims = []
-        for d in range(top + 1):
-            cut = width - len(self.slice_words(d))
-            dims.append(sum(1 for p in rev.pivots if p >= cut))
-        return dims
+        return [
+            sum(1 for p in pivots if p >= width - len(self.slice_words(d)))
+            for d in range(top + 1)
+        ]
 
     def filtered_dims(self, up_to: int) -> list[int]:
         """Upper bounds on the dimensions of the degree <= d quotient

@@ -39,16 +39,7 @@ from .bimodule import (
 from .linalg import Matrix, Subspace, nullspace, vec_add, vec_kron
 
 
-@dataclass
-class TensorBimodule:
-    """Bimodule structure on M (x) N plus factor back-references."""
-
-    module: Bimodule
-    left: Bimodule
-    right: Bimodule
-
-
-def tensor_bimodule(a: Bimodule, b: Bimodule) -> TensorBimodule:
+def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     if a.algebra != b.algebra:
         raise BimoduleError("tensor product needs a common algebra")
     if not (a.is_weak() and b.is_weak()):
@@ -58,7 +49,7 @@ def tensor_bimodule(a: Bimodule, b: Bimodule) -> TensorBimodule:
     jn = Matrix.identity(f, b.dim)
     lam = [la.kron(jn) + im.kron(lb) for la, lb in zip(a.lam, b.lam)]
     rho = [ra.kron(jn) + im.kron(rb) for ra, rb in zip(a.rho, b.rho)]
-    return TensorBimodule(Bimodule(a.algebra, lam, rho), a, b)
+    return Bimodule(a.algebra, lam, rho)
 
 
 def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:
@@ -114,35 +105,37 @@ class TruncationData:
 def truncation_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T(M, N): action closure of the MLL defect span; defined for weak factors."""
     tensor = tensor_bimodule(a, b)
-    s = mll_defect_span(a, b)
-    return subbimodule_closure(tensor.module, s.basis_vectors())
+    return subbimodule_closure(tensor, mll_defect_span(a, b).basis_vectors())
 
 
-def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:
+def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
+    """T0(M, N) of the under truncation; needs full factors."""
     if not (a.is_full() and b.is_full()):
         raise BimoduleError("coarse truncation data needs full bimodules")
     ambient = a.dim * b.dim
-    s = mll_defect_span(a, b)
-    t = truncation_kernel(a, b)
     ka = kernels_and_invariants(a)
     kb = kernels_and_invariants(b)
-    t0 = tensor_of_subspaces(ka["M0"], kb["MR"], ambient).sum(
+    return tensor_of_subspaces(ka["M0"], kb["MR"], ambient).sum(
         tensor_of_subspaces(ka["MR"], kb["M0"], ambient)
     )
+
+
+def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:
+    t0 = coarse_kernel(a, b)
+    s = mll_defect_span(a, b)
+    t = subbimodule_closure(tensor_bimodule(a, b), s.basis_vectors())
     contained = t.contains_subspace(s) and t0.contains_subspace(t)
     return TruncationData(s_span=s, t=t, t0=t0, containment_verified=contained)
 
 
 def trunc_bar(a: Bimodule, b: Bimodule) -> Bimodule:
     """(M (x) N) / T(M, N); available for any weak factors."""
-    tensor = tensor_bimodule(a, b)
-    return quotient(tensor.module, truncation_kernel(a, b))
+    return quotient(tensor_bimodule(a, b), truncation_kernel(a, b))
 
 
 def trunc_under(a: Bimodule, b: Bimodule) -> Bimodule:
     """(M (x) N) / T0(M, N); needs full factors."""
-    tensor = tensor_bimodule(a, b)
-    return quotient(tensor.module, truncation_data(a, b).t0)
+    return quotient(tensor_bimodule(a, b), coarse_kernel(a, b))
 
 
 def truncation_collapse_check(a: Bimodule, b: Bimodule) -> dict:
@@ -193,22 +186,20 @@ def flip_matrix(a: Bimodule, b: Bimodule) -> Matrix:
 def structural_checks(l: Bimodule, m: Bimodule, n: Bimodule) -> dict:
     """Flip/associator/unit equivariance plus truncation compatibility."""
     out = {}
-    tmn = tensor_bimodule(m, n)
-    tnm = tensor_bimodule(n, m)
     gamma = flip_matrix(m, n)
     out["flip_is_morphism"] = BimoduleHomCandidate(
-        tmn.module, tnm.module, gamma
+        tensor_bimodule(m, n), tensor_bimodule(n, m), gamma
     ).intertwines()
 
-    left_nested = tensor_bimodule(tensor_bimodule(l, m).module, n).module
-    right_nested = tensor_bimodule(l, tensor_bimodule(m, n).module).module
+    left_nested = tensor_bimodule(tensor_bimodule(l, m), n)
+    right_nested = tensor_bimodule(l, tensor_bimodule(m, n))
     out["associator_is_morphism"] = (
         left_nested.lam == right_nested.lam and left_nested.rho == right_nested.rho
     )
 
     triv = trivial_bimodule(l.algebra, 1)
-    left_unit = tensor_bimodule(triv, m).module
-    right_unit = tensor_bimodule(m, triv).module
+    left_unit = tensor_bimodule(triv, m)
+    right_unit = tensor_bimodule(m, triv)
     out["units_are_morphisms"] = (
         left_unit.lam == m.lam
         and left_unit.rho == m.rho

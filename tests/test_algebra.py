@@ -207,6 +207,12 @@ class TestBuilders:
         with pytest.raises(AlgebraError):
             make_sl2(FF(2))
 
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(AlgebraError):
+            make_abelian(QQ, -1)
+        with pytest.raises(AlgebraError):
+            sl2_module_matrices(QQ, -1)
+
     def test_abelian_kernel_zero(self):
         assert leibniz_kernel(make_abelian(QQ, 2)).dim == 0
 

@@ -85,6 +85,10 @@ class TestAxiomReport:
 
 
 class TestClassifyAndSymmetrize:
+    def test_negative_trivial_dim_rejected(self):
+        with pytest.raises(BimoduleError):
+            trivial_bimodule(make_A(QQ), -1)
+
     def test_trivial_is_both(self):
         flags = classify_flags(trivial_bimodule(make_A(QQ), 2))
         assert flags == {"symmetric": True, "anti_symmetric": True, "trivial": True}
@@ -355,6 +359,11 @@ class TestSerialization:
         ):
             again = Bimodule.from_json(mod.to_json())
             assert again == mod
+
+    def test_non_object_rejected(self):
+        for text in ("[1, 2]", "3", '"adjoint"', "null"):
+            with pytest.raises(BimoduleError):
+                Bimodule.from_json(text)
 
     def test_dim_mismatch_rejected(self):
         import json

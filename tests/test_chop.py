@@ -1,6 +1,7 @@
 """Composition series: strategies, certification, oracle agreement."""
 
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from leibniz.chop import (
     chop,
     common_eigenvector,
     oracle_composition_factors,
+    sl2_triple_indices,
 )
 from leibniz.linalg import Matrix
 from leibniz.samples import random_full_bimodule, random_invertible
@@ -180,6 +182,30 @@ class TestBruteforceOracle:
         assert multiset(rep.factors) == multiset(oracle_composition_factors(mod))
         assert rep.certified
         assert sorted(rep.dims) == [1, 2]
+
+
+class TestSl2Recognition:
+    def test_builtin_sl2_and_extension_recognised(self):
+        for f in (QQ, F3, FF(101)):
+            assert sl2_triple_indices(make_sl2(f)) == (0, 1, 2)
+            assert sl2_triple_indices(make_S(f)) == (0, 1, 2)
+            assert sl2_triple_indices(make_A(f)) is None
+        assert sl2_triple_indices(make_A(F2)) is None
+
+    def test_lookups_build_sl2_at_most_once_per_field(self, monkeypatch):
+        chop_mod = sys.modules["leibniz.chop"]
+        builds = []
+
+        def counting_make_sl2(field):
+            builds.append(field)
+            return make_sl2(field)
+
+        monkeypatch.setattr(chop_mod, "make_sl2", counting_make_sl2)
+        alg = make_sl2(FF(7))
+        for _ in range(5):
+            assert chop_mod.sl2_triple_indices(alg) == (0, 1, 2)
+            assert chop_mod.sl2_triple_indices(make_A(FF(7))) is None
+        assert len(builds) <= 1
 
 
 class TestSl2SmallCharacteristic:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from leibniz.algebra import LeibnizAlgebra, make_A, make_N
 from leibniz.bimodule import Bimodule, adjoint
 from leibniz.cli import build_parser, main
@@ -110,7 +112,7 @@ class TestRoundTrips:
 class TestWorkedExamples:
     def test_trunc_bar_solvable_adjoint(self, capsys):
         code, out, _ = run(
-            capsys, "trunc", "--bar", "--example", "A", "--adjoint", "--json"
+            capsys, "trunc", "--bar", "--example", "A", "--json"
         )
         assert code == 0
         doc = json.loads(out)
@@ -225,6 +227,28 @@ class TestOneLineErrors:
         code, _, err = run(capsys, "bimodule", "--example", "A", "--module", "file:/missing")
         assert code == 1
         assert err.startswith("error: cannot read /missing")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_object_module_file(self, tmp_path, capsys):
+        p = tmp_path / "x.json"
+        p.write_text("[1, 2]", encoding="utf-8")
+        code, _, err = run(capsys, "bimodule", "--example", "A", "--module", f"file:{p}")
+        assert code == 1
+        assert err.startswith("error: bimodule document must be a JSON object")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chop", "--example", "abelian:-1"),
+            ("chop", "--example", "sl2", "--left", "sym:L-1"),
+            ("bimodule", "--example", "A", "--module", "trivial:-1"),
+        ],
+    )
+    def test_negative_sizes_rejected(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "non-negative" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_malformed_seed_environment(self, capsys, monkeypatch):

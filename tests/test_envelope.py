@@ -1,8 +1,11 @@
 """Presented enveloping algebras: dims, homomorphisms, Hopf data, actions."""
 
+import itertools
 import random
 
 import pytest
+from sympy import QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
 
 from leibniz.fields import QQ
 from leibniz.algebra import make_A, make_N, make_S, make_abelian, make_e, make_sl2
@@ -87,13 +90,12 @@ class TestPresentations:
             assert all(d <= fr for d, fr in zip(dims, free))
 
     def test_ideal_slices_nest(self):
-        # the degree-2 ideal slice, zero-padded, sits inside the degree-3 slice
+        # the degree-2 ideal slice sits inside the degree-3 slice
         pres = build_presentation(make_A(QQ), "ulweak", 3)
         low = pres.ideal_reducer(2)
         high = pres.ideal_reducer(3)
-        pad = len(pres.slice_words(3)) - len(pres.slice_words(2))
         for row in low.rows:
-            assert high.contains(list(row) + [QQ.zero()] * pad)
+            assert high.contains(pres.poly_to_vec(pres.vec_to_poly(row, 2), 3))
 
     def test_cutoff_enforced(self):
         pres = build_presentation(make_e(QQ), "ulweak", 2)
@@ -101,6 +103,39 @@ class TestPresentations:
             pres.filtered_dims(3)
         with pytest.raises(EnvelopeError):
             build_presentation(make_e(QQ), "ulweak", 1)
+
+
+class TestLowDegreeDimsOracle:
+    """dim(J_top meet F_<=d) = rank J - rank of J on the columns of the
+    words longer than d, both ranks taken by sympy's DomainMatrix on the
+    spanning set u * rel * v in a word order of the test's own."""
+
+    @pytest.mark.parametrize("make", [make_e, make_A, make_N, make_sl2])
+    @pytest.mark.parametrize("top", [2, 3])
+    @pytest.mark.parametrize("which", ["ul", "ulweak", "ulie"])
+    def test_low_degree_dims_match_sympy_ranks(self, make, top, which):
+        pres = build_presentation(make(QQ), which, top)
+        gens = range(pres.ngens)
+        words = [w for k in range(top + 1) for w in itertools.product(gens, repeat=k)]
+        col = {w: i for i, w in enumerate(words)}
+        spanning = []
+        for rel in pres.relations:
+            for la in range(top - 1):
+                for lb in range(top - 1 - la):
+                    for u in itertools.product(gens, repeat=la):
+                        for v in itertools.product(gens, repeat=lb):
+                            row = [SQQ(0)] * len(words)
+                            for w, c in rel.items():
+                                row[col[u + w + v]] = SQQ(c.numerator, c.denominator)
+                            spanning.append(row)
+        ideal = DomainMatrix(spanning, (len(spanning), len(words)), SQQ)
+        rank = ideal.rank()
+        expected = []
+        for d in range(top + 1):
+            longer = [i for i, w in enumerate(words) if len(w) > d]
+            projected = ideal.extract(range(len(spanning)), longer).rank() if longer else 0
+            expected.append(rank - projected)
+        assert pres.low_degree_ideal_dims(top) == expected
 
 
 class TestHoms:

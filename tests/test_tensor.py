@@ -57,17 +57,17 @@ class TestTensorBimodule:
     def test_trivial_times_anything_is_the_same(self):
         ad = adjoint(make_A(QQ))
         t = tensor_bimodule(trivial_bimodule(make_A(QQ), 1), ad)
-        assert t.module.lam == ad.lam and t.module.rho == ad.rho
+        assert t.lam == ad.lam and t.rho == ad.rho
 
     def test_one_dim_lines_add_weights(self):
         e = make_e(QQ)
-        t = tensor_bimodule(sym_line(e, [2]), sym_line(e, [3])).module
+        t = tensor_bimodule(sym_line(e, [2]), sym_line(e, [3]))
         assert t.lam[0] == Matrix(QQ, [[5]])
         assert t.rho[0] == Matrix(QQ, [[-5]])
 
     def test_adjoint_square_weak_but_not_full(self):
         ad = adjoint(make_A(QQ))
-        t = tensor_bimodule(ad, ad).module
+        t = tensor_bimodule(ad, ad)
         rep = t.axiom_report()
         assert rep.llm and rep.lml and not rep.mll
         # the defect span is exactly the line through e (x) e
@@ -77,7 +77,7 @@ class TestTensorBimodule:
     def test_sym_pair_gives_symmetric_full(self):
         alg = make_A(QQ)
         a = sym_line(alg, [1, 0])
-        t = tensor_bimodule(a, a).module
+        t = tensor_bimodule(a, a)
         assert classify_flags(t)["symmetric"]
         assert t.is_full()
         assert mll_defect_span(a, a).dim == 0
@@ -88,7 +88,7 @@ class TestTensorBimodule:
             alg = rng.choice([make_e(QQ), make_A(QQ), make_e(F5), make_A(F3)])
             a = random_full_bimodule(alg, rng.randint(1, 3), rng)
             b = random_full_bimodule(alg, rng.randint(1, 3), rng)
-            t = tensor_bimodule(a, b).module
+            t = tensor_bimodule(a, b)
             assert t.axiom_report().mll == (mll_defect_span(a, b).dim == 0)
 
     def test_algebra_mismatch_rejected(self):
@@ -136,7 +136,7 @@ class TestTruncationData:
 
     def test_weak_factor_rejected(self):
         weak = one_dim_bimodule(make_e(QQ), [0], [1])
-        with pytest.raises(BimoduleError):
+        with pytest.raises(BimoduleError, match="needs full bimodules"):
             truncation_data(weak, weak)
 
 
@@ -168,7 +168,7 @@ class TestTruncatedProducts:
         weak = one_dim_bimodule(make_e(QQ), [0], [1])
         q = trunc_bar(weak, weak)
         assert q.dim >= 0  # defined; dimension recorded below
-        with pytest.raises(BimoduleError):
+        with pytest.raises(BimoduleError, match="needs full bimodules"):
             trunc_under(weak, weak)
 
     def test_random_trunc_outputs_full(self):
@@ -240,7 +240,7 @@ class TestStructuralChecks:
         t = tensor_bimodule(ad, ad)
         m, n = (1, 2), (3, -1)
         for i in range(2):
-            lhs = t.module.lam[i].apply(vec_kron(QQ, m, n))
+            lhs = t.lam[i].apply(vec_kron(QQ, m, n))
             rhs_a = vec_kron(QQ, ad.lam[i].apply(m), n)
             rhs_b = vec_kron(QQ, m, ad.lam[i].apply(n))
             assert lhs == tuple(QQ.add(a, b) for a, b in zip(rhs_a, rhs_b))

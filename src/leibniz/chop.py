@@ -45,7 +45,6 @@ from .bimodule import (
 from .linalg import (
     Matrix,
     Subspace,
-    determinant,
     eigenvalues_in_field,
     eigenspace,
     induced_on_quotient,
@@ -124,19 +123,21 @@ def common_eigenvector(mats, field, ambient: int):
 
     Depth-first over the eigenvalues each matrix has in the ground field,
     intersecting eigenspaces as we go.  A nonzero joint intersection at
-    the end is exactly a line of common eigenvectors.
+    the end is exactly a line of common eigenvectors.  A matrix's
+    eigenspaces are computed only once the search first reaches it.
     """
     mats = list(mats)
-    eigdata = [
-        [(ev, eigenspace(m, ev)) for ev in eigenvalues_in_field(m)] for m in mats
-    ]
+
+    @functools.cache
+    def eigenspaces(idx: int) -> list:
+        return [eigenspace(mats[idx], ev) for ev in eigenvalues_in_field(mats[idx])]
 
     def search(space: Subspace, idx: int) -> Subspace | None:
         if space.dim == 0:
             return None
         if idx == len(mats):
             return space
-        for _, espace in eigdata[idx]:
+        for espace in eigenspaces(idx):
             found = search(space.intersect(espace), idx + 1)
             if found is not None:
                 return found
@@ -176,12 +177,8 @@ def _left_module_highest_weights(e: Matrix, h: Matrix, fmat: Matrix, field):
     weights = []
     while e.nrows > 0:
         d = e.nrows
-        ident = Matrix.identity(field, d)
-        n = None
-        for k in range(d - 1, -1, -1):
-            if determinant(h - ident.scale(field.from_int(k))) == field.zero():
-                n = k
-                break
+        eigs = eigenvalues_in_field(h)
+        n = max((k for k in range(d) if field.from_int(k) in eigs), default=None)
         if n is None:
             raise BimoduleError(
                 "h-action has no non-negative integer eigenvalue: "

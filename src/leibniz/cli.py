@@ -35,6 +35,7 @@ from .bimodule import (
     classify_flags,
     kernels_and_invariants,
     one_dim_bimodule,
+    quotient,
     symmetrize,
     trivial_bimodule,
 )
@@ -42,11 +43,11 @@ from .chop import chop
 from .fields import Field, FieldError, QQ
 from .linalg import Matrix
 from .tensor import (
+    coarse_kernel,
     mll_defect_span,
     tensor_bimodule,
-    trunc_bar,
-    trunc_under,
     truncation_data,
+    truncation_kernel,
 )
 
 
@@ -258,8 +259,8 @@ def cmd_trunc(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
     which = "under" if args.under else "bar"
-    product = trunc_under if args.under else trunc_bar
-    out = product(left, right)
+    kernel = (coarse_kernel if args.under else truncation_kernel)(left, right)
+    out = quotient(tensor_bimodule(left, right), kernel)
     rep = out.axiom_report()
     report = {
         "command": f"trunc --{which}",
@@ -267,8 +268,7 @@ def cmd_trunc(args):
         "kind": rep.kind,
     }
     if left.is_full() and right.is_full():
-        data = truncation_data(left, right)
-        report["kernel"] = _subspace_doc(data.t if which == "bar" else data.t0)
+        report["kernel"] = _subspace_doc(kernel)
         # quotients of full factors are full bimodules; anything else is a bug
         return report, rep.kind == "full"
     return report, True

@@ -3,7 +3,9 @@
 Everything here is pure and value-semantic: matrices are tuples of tuples
 of scalars, subspaces are row-reduced basis matrices.  Reduced row echelon
 form is the canonical representative of a subspace, so two spanning sets
-of the same space always produce equal ``Subspace`` objects.
+of the same space always produce equal ``Subspace`` objects.  There is one
+characteristic polynomial, valid in every characteristic; the eigenvalues
+in the field are its roots and the determinant is read off it.
 
 The fixed tensor basis convention used throughout the package: the basis
 vector ``u_i (x) w_j`` of ``U (x) W`` has flat index ``i*dim(W) + j``
@@ -14,7 +16,7 @@ coordinates, i.e. ``A.kron(B) @ (u (x) w) == (A u) (x) (B w)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -422,107 +424,98 @@ def invert(m: Matrix) -> Matrix:
 
 
 def determinant(m: Matrix):
-    """Gaussian elimination with exact division."""
-    f = m.field
-    if m.nrows != m.ncols:
-        raise LinAlgError("determinant of non-square matrix")
-    n = m.nrows
-    a = [list(r) for r in m.rows]
-    det = f.one()
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != f.zero()), None)
-        if piv is None:
-            return f.zero()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = f.neg(det)
-        det = f.mul(det, a[col][col])
-        inv = f.inv(a[col][col])
-        for i in range(col + 1, n):
-            c = f.mul(a[i][col], inv)
-            if c != f.zero():
-                for j in range(col, n):
-                    a[i][j] = f.sub(a[i][j], f.mul(c, a[col][j]))
-    return det
+    """(-1)^n times the constant coefficient of ``charpoly(m)``."""
+    c0 = charpoly(m)[0]
+    return m.field.neg(c0) if m.nrows % 2 else c0
 
 
 def charpoly(m: Matrix) -> list:
-    """Coefficients [c_0, ..., c_n] of det(tI - M), c_n = 1.
+    """Coefficients [c_0, ..., c_n] of det(tI - M), c_n = 1, in every
+    characteristic.
 
-    Faddeev-LeVerrier; the integer divisions it needs are exact over Q.
-    Over F_p this is only valid for p > n, which is all we use it for.
+    M is reduced to upper Hessenberg form H by similarity; the polynomials
+    p_k of the leading k x k blocks of H then follow the standard recurrence
+    p_{k+1} = t p_k - sum_{i<=k} h_ik h_{i+1,i} ... h_{k,k-1} p_i, in O(n^3)
+    field operations (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).
     """
     f = m.field
     n = m.nrows
     if n != m.ncols:
         raise LinAlgError("characteristic polynomial of non-square matrix")
-    if 0 < f.characteristic <= n:
-        raise LinAlgError("charpoly needs characteristic 0 or > matrix size")
-    coeffs = [f.one()]  # leading coefficient, built downwards
-    mk = Matrix.identity(f, n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        c = f.neg(f.div(mk.trace(), f.from_int(k)))
-        coeffs.append(c)
-        for i in range(n):
-            mk_rows = [list(r) for r in mk.rows]
-            mk_rows[i][i] = f.add(mk_rows[i][i], c)
-            mk = Matrix(f, mk_rows)
-    return list(reversed(coeffs))
+    zero = f.zero()
+    h = [list(r) for r in m.rows]
+    for col in range(n - 2):
+        r = col + 1
+        piv = next((i for i in range(r, n) if h[i][col] != zero), None)
+        if piv is None:
+            continue
+        h[piv], h[r] = h[r], h[piv]
+        for row in h:
+            row[piv], row[r] = row[r], row[piv]
+        inv = f.inv(h[r][col])
+        for i in range(r + 1, n):
+            u = f.mul(h[i][col], inv)
+            if u != zero:  # row_i -= u row_r, then column_r += u column_i
+                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[r])]
+                for row in h:
+                    row[r] = f.add(row[r], f.mul(u, row[i]))
+    polys = [[f.one()]]
+    for k in range(n):
+        p = [zero] + polys[k]
+        prod = f.one()  # h_{i+1,i} ... h_{k,k-1}
+        for i in range(k, -1, -1):
+            c = f.mul(prod, h[i][k])
+            if c != zero:
+                for j, q in enumerate(polys[i]):
+                    p[j] = f.sub(p[j], f.mul(c, q))
+            prod = f.mul(prod, h[i][i - 1]) if i else zero
+            if prod == zero:
+                break
+        polys.append(p)
+    return polys[n]
 
 
 def eigenvalues_in_field(m: Matrix) -> list:
-    """Eigenvalues of M that lie in the ground field, without multiplicity.
+    """Eigenvalues of M that lie in the ground field, without multiplicity:
+    the roots of ``charpoly(m)`` in the field.
 
-    Over F_p every residue is tried; over Q candidates come from the
-    rational root theorem applied to the characteristic polynomial, and a
-    candidate p/q is a root exactly when q^deg * chi(p/q) = 0 in integers.
+    Over F_p every residue is a candidate, in ascending order; over Q the
+    candidates are 0 and then the p/q of the rational root theorem.  Each
+    candidate p/q is tested by one integer Horner evaluation of
+    q^deg * chi(p/q), which is a root exactly when it is 0 (over Q) or
+    divisible by the characteristic (over F_p).
     """
     f = m.field
-    n = m.nrows
-    if n == 0:
-        return []
-    if f.characteristic > 0:
-        ident = Matrix.identity(f, n)
-        out = []
-        for c in f.elements():
-            if determinant(m - ident.scale(c)) == f.zero():
-                out.append(c)
-        return out
-    coeffs = charpoly(m)  # Fractions, lowest degree first
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    out = [f.zero()] if ints[0] == 0 else []
-    while ints[0] == 0:
-        ints = ints[1:]  # factor out t; its root 0 is recorded above
-
-    def is_root(p: int, q: int) -> bool:
+    char = f.characteristic
+    coeffs = charpoly(m)  # lowest degree first
+    if char:
+        ints, candidates = coeffs, f.elements()
+    else:
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        low = next(c for c in ints if c)  # value of chi(t) / t^k at t = 0
+        candidates = dict.fromkeys(
+            Fraction(num, q)
+            for p in [0, *_divisors(abs(low))]
+            for q in _divisors(den)
+            for num in (p, -p)
+        )
+    out = []
+    for root in candidates:
+        num, q = root.numerator, root.denominator
         value, qk = 0, 1
         for c in reversed(ints):
-            value = value * p + c * qk
+            value = value * num + c * qk
             qk *= q
-        return value == 0
-
-    seen = set(out)
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for num in (p, -p):
-                cand = Fraction(num, q)
-                if cand not in seen and is_root(num, q):
-                    seen.add(cand)
-                    out.append(cand)
+        if (value % char if char else value) == 0:
+            out.append(root)
     return out
 
 
 def _divisors(n: int) -> list[int]:
-    out, i = [], 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return sorted(set(small + [n // i for i in small]))
 
 
 def eigenspace(m: Matrix, eigenvalue) -> Subspace:

@@ -45,6 +45,19 @@ class TestCommonEigenvector:
             # image is proportional to v
             assert image[0] * v[1] == image[1] * v[0]
 
+    def test_eigenvalues_only_for_matrices_the_search_reaches(self, monkeypatch):
+        # the F_3 rotation has no eigenvalue, so the search stops at it
+        chop_mod = sys.modules["leibniz.chop"]
+        seen = []
+        eigenvalues = chop_mod.eigenvalues_in_field
+        monkeypatch.setattr(
+            chop_mod, "eigenvalues_in_field", lambda m: seen.append(m) or eigenvalues(m)
+        )
+        rotation = Matrix.from_ints(F3, [[0, 2], [1, 0]])
+        mats = [rotation, Matrix.identity(F3, 2), Matrix.from_ints(F3, [[1, 1], [0, 1]])]
+        assert common_eigenvector(mats, F3, 2) is None
+        assert seen == [rotation]
+
     def test_no_common_eigenvector(self):
         sl2 = make_sl2(QQ)
         mats = sl2_module_matrices(QQ, 1)

@@ -4,9 +4,20 @@ import json
 
 import pytest
 
+import leibniz.bimodule
+import leibniz.cli
+import leibniz.tensor
 from leibniz.algebra import LeibnizAlgebra, make_A, make_N
 from leibniz.bimodule import Bimodule, adjoint
 from leibniz.cli import build_parser, main
+
+
+def counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
 def run(capsys, *argv):
@@ -118,6 +129,18 @@ class TestWorkedExamples:
         doc = json.loads(out)
         assert doc["dim"] == 3
         assert doc["kernel"]["basis"] == [["0", "0", "0", "1"]]
+
+    @pytest.mark.parametrize("which, spans", [("--bar", 1), ("--under", 0)])
+    def test_trunc_builds_its_kernel_once(self, monkeypatch, capsys, which, spans):
+        calls = {"mll_defect_span": 0, "subbimodule_closure": 0}
+        for mod in (leibniz.cli, leibniz.tensor, leibniz.bimodule):
+            for name in calls:
+                if hasattr(mod, name):
+                    wrapped = counting(calls, name, getattr(mod, name))
+                    monkeypatch.setattr(mod, name, wrapped)
+        code, _, _ = run(capsys, "trunc", which, "--example", "A", "--json")
+        assert code == 0
+        assert calls == {"mll_defect_span": spans, "subbimodule_closure": spans}
 
     def test_trunc_report_nilpotent_char2(self, capsys):
         code, out, _ = run(

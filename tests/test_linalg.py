@@ -283,6 +283,18 @@ class TestMatrixExtras:
         m5 = Matrix.from_ints(F5, [[0, 1], [2, 0]])
         assert eigenvalues_in_field(m5) == []
 
+    def test_rational_eigenvalues_in_candidate_order(self):
+        # eigenvalues 2, 0, -2, -1, 1/2: 0 first, then the rational root
+        # candidates +p/q, -p/q for p = 1, 2, 4 (outer) and q = 1, 2 (inner)
+        m = Matrix(QQ, [
+            [2, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0],
+            [0, 1, -2, 0, 0],
+            [0, 0, 1, -1, 0],
+            [1, 0, 0, 1, Fraction(1, 2)],
+        ])
+        assert eigenvalues_in_field(m) == [0, -1, Fraction(1, 2), 2, -2]
+
     def test_determinant_matches_2x2_oracle(self):
         rng = random.Random(11)
         for _ in range(25):

@@ -203,6 +203,22 @@ class TestTruncationCollapse:
         assert out["all_hold"]
         assert out["data"].t.dim == 0
 
+    def test_kernel_data_once_per_factor(self, monkeypatch):
+        import leibniz.tensor as tensor_mod
+
+        calls = []
+        kernels = tensor_mod.kernels_and_invariants
+        monkeypatch.setattr(
+            tensor_mod,
+            "kernels_and_invariants",
+            lambda mod: calls.append(mod) or kernels(mod),
+        )
+        alg = make_A(QQ)
+        out = truncation_collapse_check(trivial_bimodule(alg, 1), adjoint(alg))
+        assert len(calls) == 2
+        assert out["cases"] == {"left_symmetric": True, "left_anti_symmetric": True}
+        assert out["all_hold"]
+
     def test_sl2_mixed_pair(self):
         sl2 = make_sl2(QQ)
         m = antisymmetrize(sl2, sl2_module_matrices(QQ, 1))

@@ -83,6 +83,9 @@ class LeibnizAlgebra:
             and self.table == other.table
         )
 
+    def __hash__(self):
+        return hash((self.field, self.basis_names, self.table))
+
     def __repr__(self):
         return f"LeibnizAlgebra(dim {self.dim}, basis {list(self.basis_names)})"
 

@@ -16,10 +16,11 @@ the constructions in this module.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, expand_product, mult_ops
+from .algebra import LeibnizAlgebra, expand_product, mult_ops, sl2_module_matrices
 from .fields import Field
 from .linalg import Matrix, Subspace, induced_on_quotient, invert, nullspace
 
@@ -224,6 +225,17 @@ def antisymmetrize(algebra: LeibnizAlgebra, lam) -> Bimodule:
     _check_llm(algebra, lam)
     z = [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam]
     return Bimodule(algebra, lam, z)
+
+
+@functools.lru_cache(maxsize=256)
+def sl2_irreducible(algebra: LeibnizAlgebra, n: int, side: str) -> Bimodule:
+    """The irreducible sl2 module L(n) as a "sym" or "anti" bimodule over an
+    algebra whose first three basis elements act as (e, h, f); any further
+    basis elements (those of hemi-sl2-L1) act by zero.  Built once per
+    (algebra, n, side) while cached; a Bimodule never changes."""
+    f = algebra.field
+    mats = sl2_module_matrices(f, n) + [Matrix.zeros(f, n + 1, n + 1)] * (algebra.dim - 3)
+    return (symmetrize if side == "sym" else antisymmetrize)(algebra, mats)
 
 
 def adjoint(algebra: LeibnizAlgebra) -> Bimodule:

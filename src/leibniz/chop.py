@@ -29,18 +29,17 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, make_S, make_sl2, sl2_module_matrices
+from .algebra import LeibnizAlgebra, make_S, make_sl2
 from .bimodule import (
     Bimodule,
     BimoduleError,
-    antisymmetrize,
     classify_flags,
     is_invariant,
     kernels_and_invariants,
     quotient,
     restrict,
+    sl2_irreducible,
     subbimodule_closure,
-    symmetrize,
 )
 from .linalg import (
     Matrix,
@@ -197,27 +196,17 @@ def _left_module_highest_weights(e: Matrix, h: Matrix, fmat: Matrix, field):
 
 
 def _sl2_chop(mod: Bimodule, triple) -> list:
-    field = mod.field
     flags = classify_flags(mod)
     ei, hi, fi = triple
     if flags["symmetric"] or flags["anti_symmetric"]:
         weights = _left_module_highest_weights(
-            mod.lam[ei], mod.lam[hi], mod.lam[fi], field
+            mod.lam[ei], mod.lam[hi], mod.lam[fi], mod.field
         )
-        factors = []
-        for n in weights:
-            # the hemi extension acts by zero beyond (e, h, f)
-            mats = sl2_module_matrices(field, n) + [
-                Matrix.zeros(field, n + 1, n + 1)
-            ] * (mod.algebra.dim - 3)
-            if flags["anti_symmetric"] and not (
-                flags["symmetric"] and flags["anti_symmetric"]
-            ):
-                factor = antisymmetrize(mod.algebra, mats)
-            else:
-                factor = symmetrize(mod.algebra, mats)
-            factors.append(factor_info(factor, certified=True))
-        return factors
+        side = "sym" if flags["symmetric"] else "anti"
+        return [
+            factor_info(sl2_irreducible(mod.algebra, n, side), certified=True)
+            for n in weights
+        ]
     kernel = kernels_and_invariants(mod)["M0"]
     anti_part = restrict(mod, kernel)
     sym_part = quotient(mod, kernel)

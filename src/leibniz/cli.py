@@ -10,6 +10,7 @@ Examples:
   leibniz gr mul --rule sl2 --lhs "S(1)" --rhs "S(1)+A(1)"
   leibniz gr props --rule weight:1 --window 2 --trials 200
   leibniz gr verify --rule sl2 --max 2
+  leibniz gr verify --rule weight:2 --max 1
   leibniz paper-suite --seed 0
 
 All file I/O is UTF-8 JSON.  Machine-readable output with --json carries
@@ -36,6 +37,7 @@ from .bimodule import (
     kernels_and_invariants,
     one_dim_bimodule,
     quotient,
+    sl2_irreducible,
     symmetrize,
     trivial_bimodule,
 )
@@ -44,10 +46,10 @@ from .fields import Field, FieldError, QQ
 from .linalg import Matrix
 from .tensor import (
     coarse_kernel,
+    defect_closure,
     mll_defect_span,
     tensor_bimodule,
     truncation_data,
-    truncation_kernel,
 )
 
 
@@ -100,10 +102,7 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
     if kind in ("sym", "anti"):
         build = symmetrize if kind == "sym" else antisymmetrize
         if rest.startswith("L"):
-            n = int(rest[1:])
-            mats = alg_mod.sl2_module_matrices(field, n)
-            mats += [Matrix.zeros(field, n + 1, n + 1)] * (algebra.dim - 3)
-            return build(algebra, mats)
+            return sl2_irreducible(algebra, int(rest[1:]), kind)
         vals = _parse_scalars(field, rest)
         if len(vals) != algebra.dim:
             raise CliError(f"{kind}: expected {algebra.dim} functional values")
@@ -259,8 +258,9 @@ def cmd_trunc(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
     which = "under" if args.under else "bar"
-    kernel = (coarse_kernel if args.under else truncation_kernel)(left, right)
-    out = quotient(tensor_bimodule(left, right), kernel)
+    tensor = tensor_bimodule(left, right)
+    kernel = coarse_kernel(left, right) if args.under else defect_closure(tensor, left, right)
+    out = quotient(tensor, kernel)
     rep = out.axiom_report()
     report = {
         "command": f"trunc --{which}",
@@ -347,38 +347,54 @@ def cmd_envelope(args):
     return report, ok
 
 
+def _weight_dim(spec: str) -> int:
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise CliError(f"bad weight dimension in {spec!r}") from None
+
+
+def _base_ring(spec: str):
+    if spec == "z":
+        return gr_mod.integer_base()
+    if spec == "sl2":
+        return gr_mod.cg_base()
+    if spec.startswith("weight:"):
+        return gr_mod.group_base(QQ, _weight_dim(spec))
+    raise CliError(f"unknown star side {spec!r}")
+
+
 def _resolve_rule(spec: str):
     """Rule specs: weight:<k> | sl2 | star:<side>,<side> with sides
     weight:<k> | sl2 | z."""
     if spec == "sl2":
-        return gr_mod.sl2_rule(), None
+        return gr_mod.sl2_rule()
     if spec.startswith("weight:"):
-        k = int(spec.split(":", 1)[1])
-        return gr_mod.weight_rule(QQ, k), QQ
+        return gr_mod.weight_rule(QQ, _weight_dim(spec))
     if spec.startswith("star:"):
         sides = spec[5:].split(",")
         if len(sides) != 2:
             raise CliError("star rule needs exactly two sides")
-
-        def base(s):
-            if s == "z":
-                return gr_mod.integer_base()
-            if s == "sl2":
-                return gr_mod.cg_base()
-            if s.startswith("weight:"):
-                return gr_mod.group_base(QQ, int(s.split(":", 1)[1]))
-            raise CliError(f"unknown star side {s!r}")
-
-        field = QQ if any(s.startswith("weight:") for s in sides) else None
-        return gr_mod.star_product(base(sides[0]), base(sides[1])), field
+        return gr_mod.star_product(_base_ring(sides[0]), _base_ring(sides[1]))
     raise CliError(f"unknown rule {spec!r}")
 
 
+def _pair_label(rule, text: str):
+    """The single label that one side of a ``gr verify`` pair names."""
+    terms = list(gr_mod.parse_element(rule, text).terms.items())
+    if len(terms) != 1 or terms[0][1] != 1:
+        raise CliError(f"bad pair label {text!r}")
+    return terms[0][0]
+
+
 def cmd_gr(args):
-    rule, field = _resolve_rule(args.rule)
+    for name in ("max", "window", "trials"):
+        if getattr(args, name, 0) < 0:
+            raise CliError(f"--{name} must be non-negative, not {getattr(args, name)}")
+    rule = _resolve_rule(args.rule)
     if args.gr_command == "mul":
-        lhs = gr_mod.parse_element(rule, args.lhs, field)
-        rhs = gr_mod.parse_element(rule, args.rhs, field)
+        lhs = gr_mod.parse_element(rule, args.lhs)
+        rhs = gr_mod.parse_element(rule, args.rhs)
         product = gr_mod.gr_mul(rule, lhs, rhs)
         return (
             {
@@ -391,7 +407,7 @@ def cmd_gr(args):
             True,
         )
     if args.gr_command == "props":
-        window = rule.window(args.window if args.window else rule.default_window)
+        window = rule.window(args.window or rule.default_window)
         out = gr_mod.identity_checkers(rule, window, trials=args.trials, seed=args.seed)
         verdicts = {}
         for name, v in out.items():
@@ -422,62 +438,26 @@ def cmd_gr(args):
             True,
         )
     if args.gr_command == "verify":
-        import re
-
         if args.rule == "sl2":
-            base_alg = alg_mod.make_sl2(QQ)
-            reg = gr_mod.ClassRegistry("sl2", base_alg)
-
-            def obj(tag_kind, n):
-                if n == 0:
-                    return trivial_bimodule(base_alg, 1)
-                build = symmetrize if tag_kind == "S" else antisymmetrize
-                return build(base_alg, alg_mod.sl2_module_matrices(QQ, n))
-
-            tags = range(0, args.max + 1)
+            reg = gr_mod.ClassRegistry("sl2", alg_mod.make_sl2(QQ))
         elif args.rule.startswith("weight:"):
-            base_alg = alg_mod.make_e(QQ)
-            reg = gr_mod.ClassRegistry("weight", base_alg)
-
-            def obj(tag_kind, n):
-                if n == 0:
-                    return trivial_bimodule(base_alg, 1)
-                build = symmetrize if tag_kind == "S" else antisymmetrize
-                return build(base_alg, [Matrix(QQ, [[QQ.from_int(n)]])])
-
-            tags = range(-args.max, args.max + 1)
+            abelian = alg_mod.make_abelian(QQ, _weight_dim(args.rule))
+            reg = gr_mod.ClassRegistry("weight", abelian)
         else:
-            raise CliError("gr verify supports the sl2 and weight:1 rules")
+            raise CliError("gr verify supports the sl2 and weight:<k> rules")
         if args.pairs:
-            label_re = re.compile(r"^(U|[SA]\((-?\d+)\))$")
-
-            def from_spec(text):
-                m = label_re.match(text.strip())
-                if not m:
-                    raise CliError(f"bad pair label {text!r}")
-                if m.group(1) == "U":
-                    return obj("S", 0)
-                return obj(text.strip()[0], int(m.group(2)))
-
-            pairs = []
-            for chunk in args.pairs.split(";"):
-                try:
-                    a_text, b_text = chunk.split("x")
-                except ValueError:
-                    raise CliError("pairs look like S(1)xA(2);UxS(1)") from None
-                pairs.append((from_spec(a_text), from_spec(b_text)))
+            halves = [chunk.split("x") for chunk in args.pairs.split(";")]
+            if any(len(h) != 2 for h in halves):
+                raise CliError("pairs look like S(1)xA(2);UxS(1)")
+            pairs = [tuple(reg.module(_pair_label(rule, t)) for t in h) for h in halves]
         else:
-            objs = [obj("S", 0)]
-            for n in tags:
-                if n != 0:
-                    objs.append(obj("S", n))
-                    objs.append(obj("A", n))
+            objs = [reg.module(l) for l in rule.window(args.max)]
             pairs = [(x, y) for x in objs for y in objs]
-        out = gr_mod.verify_ring_vs_modules(reg.rule(), reg, pairs)
+        out = gr_mod.verify_ring_vs_modules(rule, reg, pairs)
         return (
             {
                 "command": "gr verify",
-                "rule": reg.rule().name,
+                "rule": rule.name,
                 "pairs": len(pairs),
                 "ok": out["ok"],
             },
@@ -583,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--json", action="store_true")
     pp.set_defaults(fn=cmd_gr)
     pv = grsub.add_parser("verify", help="ring vs module reconciliation")
-    pv.add_argument("--rule", required=True, help="sl2 | weight:1")
+    pv.add_argument("--rule", required=True, help="sl2 | weight:<k>")
     pv.add_argument("--max", type=int, default=2, help="max tag / weight radius")
     pv.add_argument(
         "--pairs", help="semicolon-separated pairs of labels, e.g. S(1)xA(2);UxS(1)"

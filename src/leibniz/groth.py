@@ -5,9 +5,13 @@ sym/anti-tagged classes (symmetrized and anti-symmetrized irreducibles of
 the quotient Lie algebra).  Products follow the truncated tensor product:
 same-side products multiply inside a copy of the Lie Grothendieck ring
 (with unit coefficients redirected to the shared unit), cross-side
-products vanish, and the unit is neutral.  The same shape is produced by
-``star_product`` from two arbitrary commutative base rings, and agreement
-of the two constructions is a checkable theorem, not an assumption.
+products vanish, and the unit is neutral.  Every rule is therefore the
+star product of two commutative base rings, one per side, each of which
+owns its tags: the weight rules take two group rings of F^k, the sl2 rule
+two copies of the Clebsch-Gordan ring.
+
+A ``ClassRegistry`` reads labels off the composition factors of concrete
+bimodules, and builds the irreducible bimodule of a label.
 
 Identity checkers probe commutativity, associativity, the alternative and
 Jordan laws, and fourth-power associativity on finite windows plus seeded
@@ -16,8 +20,12 @@ random integer combinations; verdicts carry explicit counterexamples.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,12 +84,6 @@ class GrElement:
             out[l] = out.get(l, 0) + c
         return GrElement(out)
 
-    def __sub__(self, other: "GrElement") -> "GrElement":
-        out = dict(self.terms)
-        for l, c in other.terms.items():
-            out[l] = out.get(l, 0) - c
-        return GrElement(out)
-
     def scale(self, n: int) -> "GrElement":
         return GrElement({l: n * c for l, c in self.terms.items()})
 
@@ -90,9 +92,6 @@ class GrElement:
 
     def __eq__(self, other):
         return isinstance(other, GrElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -110,81 +109,57 @@ class GrElement:
         return text[1:] if text.startswith("+") else text
 
 
-@dataclass
-class FusionRule:
-    """Finite description of products of irreducible-class labels."""
+@dataclass(frozen=True)
+class BaseRing:
+    """A commutative unital ring on a distinguished free basis of tags.
+
+    ``mul`` multiplies two tags into {tag: coefficient}, ``window`` lists
+    the tags up to a size, ``parse`` reads a tag from the comma-separated
+    parts of its text, and ``owns`` tells a tag of this ring from a
+    foreign value.
+    """
 
     name: str
-    mul: Callable[[Label, Label], GrElement]
+    unit: object
+    mul: Callable[[object, object], dict]
     window: Callable[[int], list]
-    default_window: int
-    known_labels: Callable[[Label], bool]
-
-    def mul_labels(self, a: Label, b: Label) -> GrElement:
-        for l in (a, b):
-            if not self.known_labels(l):
-                raise GrothError(f"label {l!r} does not belong to rule {self.name}")
-        return self.mul(a, b)
+    parse: Callable[[list], object]
+    owns: Callable[[object], bool]
 
 
-def gr_mul(rule: FusionRule, a: GrElement, b: GrElement) -> GrElement:
-    out = GrElement.zero()
-    for la, ca in a.terms.items():
-        for lb, cb in b.terms.items():
-            out = out + rule.mul_labels(la, lb).scale(ca * cb)
-    return out
+def integer_base() -> BaseRing:
+    """The integers: the unit is the only tag."""
+
+    def parse(parts):
+        raise GrothError("the ring Z has no tag besides its unit U")
+
+    return BaseRing(
+        "Z", "1", lambda a, b: {"1": 1}, lambda size: ["1"], parse, lambda t: t == "1"
+    )
 
 
-# ---------------------------------------------------------------------------
-# builtin rules
-
-
-def _zero_tag(tag: tuple) -> bool:
-    return all(x == 0 for x in tag)
-
-
-def weight_rule(field: Field, k: int) -> FusionRule:
-    """Classes tagged by weight vectors in F^k: same-side tags add,
-    cross-side products vanish."""
+def group_base(field: Field, k: int) -> BaseRing:
+    """Group ring of the additive group of F^k on its canonical basis."""
     if k < 0:
         raise GrothError("weight space dimension must be non-negative")
 
-    def norm(kind: str, tag: tuple) -> Label:
-        tag = tuple(field.coerce(t) for t in tag)
-        return UNIT if _zero_tag(tag) else Label(kind, tag)
+    def mul(a, b):
+        return {tuple(field.add(x, y) for x, y in zip(a, b)): 1}
 
-    def mul(a: Label, b: Label) -> GrElement:
-        if a.kind == "unit":
-            return GrElement.of(b)
-        if b.kind == "unit":
-            return GrElement.of(a)
-        if a.kind != b.kind:
-            return GrElement.zero()
-        s = tuple(field.add(x, y) for x, y in zip(a.tag, b.tag))
-        return GrElement.of(norm(a.kind, s))
-
-    def window(radius: int) -> list:
-        import itertools
-
-        tags = [
+    def window(radius):
+        return [
             tuple(field.from_int(t) for t in tag)
             for tag in itertools.product(range(-radius, radius + 1), repeat=k)
         ]
-        labels = [UNIT]
-        for tag in tags:
-            if not _zero_tag(tag):
-                labels.append(Label("sym", tag))
-        for tag in tags:
-            if not _zero_tag(tag):
-                labels.append(Label("anti", tag))
-        return labels
 
-    def known(l: Label) -> bool:
-        return l.kind == "unit" or (
-            isinstance(l.tag, tuple) and len(l.tag) == k and not _zero_tag(l.tag)
-        )
-
-    return FusionRule(f"weight:{k}", mul, window, 2, known)
+    return BaseRing(
+        f"grouplike:{k}",
+        (field.zero(),) * k,
+        mul,
+        window,
+        lambda parts: tuple(field.parse(p) for p in parts),
+        lambda t: isinstance(t, tuple) and len(t) == k,
+    )
 
 
 def clebsch_gordan(m: int, n: int) -> list[int]:
@@ -195,116 +170,100 @@ def clebsch_gordan(m: int, n: int) -> list[int]:
     return list(range(m + n, abs(m - n) - 1, -2))
 
 
-def sl2_rule() -> FusionRule:
-    """Classes tagged by sl2 highest weights, fused by Clebsch-Gordan."""
+def cg_base() -> BaseRing:
+    """The representation ring with basis the sl2 highest weights."""
 
-    def norm(kind: str, n: int) -> Label:
-        return UNIT if n == 0 else Label(kind, n)
+    def parse(parts):
+        try:
+            (text,) = parts
+            return int(text)
+        except ValueError:
+            raise GrothError(f"expected one integer tag, not {','.join(parts)!r}") from None
 
-    def mul(a: Label, b: Label) -> GrElement:
+    return BaseRing(
+        "cg",
+        0,
+        lambda a, b: Counter(clebsch_gordan(a, b)),
+        lambda size: list(range(size + 1)),
+        parse,
+        lambda t: isinstance(t, int) and t >= 0,
+    )
+
+
+@dataclass(frozen=True)
+class FusionRule:
+    """The unital commutative product of two base rings, one per side.
+
+    Its labels are the shared unit U and S(t) / A(t) for the non-unit tags
+    t of the ``sym`` / ``anti`` base ring.  Same-side products multiply in
+    that side's ring and send its unit coefficient to U, cross-side
+    products vanish, and U is neutral.
+    """
+
+    name: str
+    sym: BaseRing
+    anti: BaseRing
+    default_window: int
+
+    def base(self, kind: str) -> BaseRing:
+        return self.sym if kind == "sym" else self.anti
+
+    def label(self, kind: str, tag) -> Label:
+        """The label of a tag on one side; the side's unit is U."""
+        return UNIT if tag == self.base(kind).unit else Label(kind, tag)
+
+    def owns(self, label: Label) -> bool:
+        if label.kind == "unit":
+            return True
+        base = self.base(label.kind)
+        return base.owns(label.tag) and label.tag != base.unit
+
+    def mul(self, a: Label, b: Label) -> GrElement:
+        for l in (a, b):
+            if not self.owns(l):
+                raise GrothError(f"label {l!r} does not belong to rule {self.name}")
         if a.kind == "unit":
             return GrElement.of(b)
         if b.kind == "unit":
             return GrElement.of(a)
         if a.kind != b.kind:
             return GrElement.zero()
-        out = GrElement.zero()
-        for w in clebsch_gordan(a.tag, b.tag):
-            out = out + GrElement.of(norm(a.kind, w))
-        return out
+        out: dict = {}
+        for tag, coeff in self.base(a.kind).mul(a.tag, b.tag).items():
+            target = self.label(a.kind, tag)
+            out[target] = out.get(target, 0) + coeff
+        return GrElement(out)
 
-    def window(max_tag: int) -> list:
-        labels = [UNIT]
-        labels += [Label("sym", n) for n in range(1, max_tag + 1)]
-        labels += [Label("anti", n) for n in range(1, max_tag + 1)]
-        return labels
-
-    def known(l: Label) -> bool:
-        return l.kind == "unit" or (isinstance(l.tag, int) and l.tag >= 1)
-
-    return FusionRule("sl2", mul, window, 6, known)
-
-
-# ---------------------------------------------------------------------------
-# the unital commutative product of two base rings
-
-
-@dataclass
-class BaseRing:
-    """A commutative unital ring on a distinguished free basis."""
-
-    name: str
-    unit: object
-    mul: Callable[[object, object], dict]
-    window: Callable[[int], list]
-
-
-def integer_base() -> BaseRing:
-    return BaseRing("Z", "1", lambda a, b: {"1": 1}, lambda size: ["1"])
-
-
-def group_base(field: Field, k: int) -> BaseRing:
-    """Group ring of the additive group of F^k on its canonical basis."""
-    unit = tuple(field.zero() for _ in range(k))
-
-    def mul(a, b):
-        return {tuple(field.add(x, y) for x, y in zip(a, b)): 1}
-
-    def window(radius):
-        import itertools
-
-        return [
-            tuple(field.from_int(t) for t in tag)
-            for tag in itertools.product(range(-radius, radius + 1), repeat=k)
+    def window(self, size: int) -> list:
+        return [UNIT] + [
+            Label(kind, tag)
+            for kind in ("sym", "anti")
+            for tag in self.base(kind).window(size)
+            if tag != self.base(kind).unit
         ]
 
-    return BaseRing(f"grouplike:{k}", unit, mul, window)
 
-
-def cg_base() -> BaseRing:
-    """The representation ring with basis the sl2 highest weights."""
-
-    def mul(a, b):
-        out: dict = {}
-        for w in clebsch_gordan(a, b):
-            out[w] = out.get(w, 0) + 1
-        return out
-
-    return BaseRing("cg", 0, mul, lambda size: list(range(size + 1)))
+def gr_mul(rule: FusionRule, a: GrElement, b: GrElement) -> GrElement:
+    out = GrElement.zero()
+    for la, ca in a.terms.items():
+        for lb, cb in b.terms.items():
+            out = out + rule.mul(la, lb).scale(ca * cb)
+    return out
 
 
 def star_product(a: BaseRing, b: BaseRing) -> FusionRule:
-    """Unital commutative product: adjoin a shared unit to the non-unit
-    basis labels of both rings; same-side products redirect their unit
-    coefficient to the shared unit, cross-side products vanish."""
+    """The rule with ``a`` on the sym side and ``b`` on the anti side."""
+    return FusionRule(f"star({a.name},{b.name})", a, b, 2)
 
-    def push(side: str, base: BaseRing, product: dict) -> GrElement:
-        out = GrElement.zero()
-        for label, coeff in product.items():
-            target = UNIT if label == base.unit else Label(side, label)
-            out = out + GrElement.of(target, coeff)
-        return out
 
-    def mul(x: Label, y: Label) -> GrElement:
-        if x.kind == "unit":
-            return GrElement.of(y)
-        if y.kind == "unit":
-            return GrElement.of(x)
-        if x.kind != y.kind:
-            return GrElement.zero()
-        base = a if x.kind == "sym" else b
-        return push(x.kind, base, base.mul(x.tag, y.tag))
+def weight_rule(field: Field, k: int) -> FusionRule:
+    """Classes tagged by weight vectors in F^k: same-side tags add."""
+    return FusionRule(f"weight:{k}", group_base(field, k), group_base(field, k), 2)
 
-    def window(size: int) -> list:
-        labels = [UNIT]
-        labels += [Label("sym", l) for l in a.window(size) if l != a.unit]
-        labels += [Label("anti", l) for l in b.window(size) if l != b.unit]
-        return labels
 
-    def known(l: Label) -> bool:
-        return True  # base rings are open-ended; trust their mul
-
-    return FusionRule(f"star({a.name},{b.name})", mul, window, 2, known)
+def sl2_rule() -> FusionRule:
+    """Classes tagged by sl2 highest weights, fused by Clebsch-Gordan."""
+    return FusionRule("sl2", cg_base(), cg_base(), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +278,7 @@ class Verdict:
     counterexample: dict | None = None
 
 
-def _random_element(rule: FusionRule, labels, rng: random.Random) -> GrElement:
+def _random_element(labels, rng: random.Random) -> GrElement:
     support = rng.sample(labels, k=min(len(labels), rng.randint(1, 3)))
     out = GrElement.zero()
     for l in support:
@@ -353,7 +312,7 @@ def identity_checkers(
         if len(singles) <= 20
         else []
     )
-    combos = [_random_element(rule, window, rng) for _ in range(trials)]
+    combos = [_random_element(window, rng) for _ in range(trials)]
     mul = lambda x, y: gr_mul(rule, x, y)
 
     def verdict(name, cases, lhs_fn, rhs_fn) -> Verdict:
@@ -362,11 +321,7 @@ def identity_checkers(
             tested += 1
             lhs, rhs = lhs_fn(*case), rhs_fn(*case)
             if lhs != rhs:
-                witness = {
-                    "elements": case,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
+                witness = {"elements": case, "lhs": lhs, "rhs": rhs}
                 return Verdict(name, False, tested, witness)
         return Verdict(name, True, tested)
 
@@ -446,9 +401,6 @@ def criterion_scan(rule: FusionRule, window: list | None = None) -> list[dict]:
     """
     if window is None:
         window = rule.window(rule.default_window)
-    for l in window:
-        if l.kind not in ("unit", "sym", "anti"):
-            raise GrothError("rule window is not star-shaped; refusing to scan")
     sides = {
         "sym": [l for l in window if l.kind == "sym"],
         "anti": [l for l in window if l.kind == "anti"],
@@ -482,28 +434,25 @@ def criterion_scan(rule: FusionRule, window: list | None = None) -> list[dict]:
         b = sides[other][0]
         for a in sides[side]:
             for a2 in sides[side]:
-                prod = rule.mul_labels(a, a2)
+                prod = rule.mul(a, a2)
                 if prod.terms.get(UNIT, 0) != 0:
                     prop = "alternative" if a == a2 else "associative"
                     findings.append(replay(prop, a, a2, b))
         for a in sides[side]:
-            square = rule.mul_labels(a, a)
+            square = rule.mul(a, a)
             has_nonunit = any(l.kind != "unit" for l in square.terms)
             if not has_nonunit:
                 continue
             for b2 in sides[other]:
-                bsq = rule.mul_labels(b2, b2)
+                bsq = rule.mul(b2, b2)
                 if bsq.terms.get(UNIT, 0) != 0:
                     findings.append(replay("jordan", a, a, b2))
                     break
     # deduplicate per property, keeping the first (deterministic) witness
-    seen = set()
-    unique = []
+    unique: dict = {}
     for f in findings:
-        if f["property"] not in seen:
-            seen.add(f["property"])
-            unique.append(f)
-    return unique
+        unique.setdefault(f["property"], f)
+    return list(unique.values())
 
 
 # ---------------------------------------------------------------------------
@@ -512,26 +461,68 @@ def criterion_scan(rule: FusionRule, window: list | None = None) -> list[dict]:
 
 @dataclass
 class ClassRegistry:
-    """How to read irreducible-class labels off composition factors."""
+    """How to read irreducible-class labels off composition factors, and
+    back: ``module`` builds the irreducible bimodule of a label.
+
+    A weight label carries the values of a functional that vanishes on the
+    product span, taken at the complement coordinates of that span; an sl2
+    label carries the highest weight.
+    """
 
     kind: str  # "weight" | "sl2"
     algebra: object
+    _modules: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def product_span(self):
+        from .algebra import products_and_series
+
+        return products_and_series(self.algebra)["product_span"]
 
     def rule(self) -> FusionRule:
         if self.kind == "sl2":
             return sl2_rule()
-        from .algebra import products_and_series
+        return weight_rule(self.algebra.field, self.algebra.dim - self.product_span.dim)
 
-        span = products_and_series(self.algebra)["product_span"]
-        k = self.algebra.dim - span.dim
-        return weight_rule(self.algebra.field, k)
+    def module(self, label: Label):
+        """The irreducible bimodule whose class is ``label``, built once."""
+        if label not in self._modules:
+            self._modules[label] = self._build(label)
+        return self._modules[label]
+
+    def _build(self, label: Label):
+        from .bimodule import antisymmetrize, sl2_irreducible, symmetrize, trivial_bimodule
+        from .linalg import Matrix
+
+        rule = self.rule()
+        if not rule.owns(label):
+            raise GrothError(f"label {label!r} is foreign to rule {rule.name}")
+        if label == UNIT:
+            return trivial_bimodule(self.algebra, 1)
+        if self.kind == "sl2":
+            return sl2_irreducible(self.algebra, label.tag, label.kind)
+        f = self.algebra.field
+        span = self.product_span
+        keep = span.complement_coords()
+        values = [f.zero()] * self.algebra.dim
+        for j, t in zip(keep, label.tag):
+            values[j] = f.coerce(t)
+        # an RREF row of the span has a 1 at its pivot and zeros at the
+        # other pivots, so vanishing on it fixes the value at the pivot
+        for p, x in zip(span.pivots, span.basis.apply(values)):
+            values[p] = f.neg(x)
+        build = symmetrize if label.kind == "sym" else antisymmetrize
+        return build(self.algebra, [Matrix(f, [[v]]) for v in values])
 
 
 def class_of_bimodule(mod, registry: ClassRegistry, seed: int = 0) -> GrElement:
     """Sum of factor labels of a certified composition series."""
-    from .algebra import products_and_series
     from .chop import chop
 
+    if registry.kind not in ("weight", "sl2"):
+        raise GrothError(f"unknown registry kind {registry.kind!r}")
     if mod.algebra != registry.algebra:
         raise GrothError("bimodule algebra does not match the registry")
     report = chop(mod, seed=seed)
@@ -539,54 +530,40 @@ def class_of_bimodule(mod, registry: ClassRegistry, seed: int = 0) -> GrElement:
         raise GrothError(
             "composition series is not certified; refusing to assign a class"
         )
-    field = mod.field
-    out = GrElement.zero()
     if registry.kind == "weight":
-        span = products_and_series(registry.algebra)["product_span"]
-        keep = span.complement_coords()
-        for f in report.factors:
-            if f.dim != 1:
-                raise GrothError(
-                    "weight registry expects 1-dimensional factors only"
-                )
-            a, c = f.left_scalars, f.right_scalars
-            tag = tuple(a[j] for j in keep)
-            if f.trivial:
-                out = out + GrElement.of(UNIT)
-            elif all(x == field.neg(y) for x, y in zip(c, a)):
-                out = out + GrElement.of(Label("sym", tag))
-            elif all(x == field.zero() for x in c):
-                out = out + GrElement.of(Label("anti", tag))
-            else:
-                raise GrothError(
-                    "factor is neither symmetric nor anti-symmetric: "
-                    "not a class of the full-bimodule category"
-                )
-        return out
-    if registry.kind == "sl2":
-        for f in report.factors:
-            n = f.dim - 1
-            if f.trivial:
-                out = out + GrElement.of(UNIT)
-            elif f.symmetric:
-                out = out + GrElement.of(Label("sym", n))
-            elif f.anti_symmetric:
-                out = out + GrElement.of(Label("anti", n))
-            else:
-                raise GrothError("sl2 factor with a mixed action pattern")
-        return out
-    raise GrothError(f"unknown registry kind {registry.kind!r}")
+        keep = registry.product_span.complement_coords()
+        if any(f.dim != 1 for f in report.factors):
+            raise GrothError("weight registry expects 1-dimensional factors only")
+    out: dict = {}
+    for f in report.factors:
+        if f.trivial:
+            label = UNIT
+        elif f.symmetric or f.anti_symmetric:
+            tag = tuple(f.left_scalars[j] for j in keep) if registry.kind == "weight" else f.dim - 1
+            label = Label("sym" if f.symmetric else "anti", tag)
+        else:
+            raise GrothError(
+                "factor is neither symmetric nor anti-symmetric: "
+                "not a class of the full-bimodule category"
+            )
+        out[label] = out.get(label, 0) + 1
+    return GrElement(out)
 
 
 def verify_ring_vs_modules(rule: FusionRule, registry: ClassRegistry, pairs) -> dict:
     """For each pair (M, N): the class of both truncated products must
-    equal the fusion product of the classes."""
+    equal the fusion product of the classes.  The class of each distinct
+    input object is computed once."""
     from .tensor import trunc_bar, trunc_under
 
+    pairs = list(pairs)
+    classes: dict = {}
+    for mod in itertools.chain.from_iterable(pairs):
+        if id(mod) not in classes:
+            classes[id(mod)] = class_of_bimodule(mod, registry)
     results = []
     for m, n in pairs:
-        cm = class_of_bimodule(m, registry)
-        cn = class_of_bimodule(n, registry)
+        cm, cn = classes[id(m)], classes[id(n)]
         expected = gr_mul(rule, cm, cn)
         got_bar = class_of_bimodule(trunc_bar(m, n), registry)
         got_under = class_of_bimodule(trunc_under(m, n), registry)
@@ -632,8 +609,9 @@ def _split_terms(text: str) -> list[str]:
     return terms
 
 
-def parse_element(rule: FusionRule, text: str, field: Field | None = None) -> GrElement:
-    """Parse e.g. ``2*S(1) + A(-1) - U`` (weight tags may be rationals)."""
+def parse_element(rule: FusionRule, text: str) -> GrElement:
+    """Parse e.g. ``2*S(1) + A(-1) - U``; each tag is read by the base ring
+    of its side (so weight tags may be rationals)."""
     out = GrElement.zero()
     terms = _split_terms(text)
     if not terms:
@@ -650,16 +628,8 @@ def parse_element(rule: FusionRule, text: str, field: Field | None = None) -> Gr
             label = UNIT
         else:
             kind = "sym" if body[0] == "S" else "anti"
-            parts = body[2:-1].split(",")
-            if field is None:
-                if len(parts) != 1:
-                    raise GrothError(f"expected a single integer tag in {chunk!r}")
-                n = int(parts[0])
-                label = UNIT if n == 0 else Label(kind, n)
-            else:
-                tag = tuple(field.parse(p) for p in parts)
-                label = UNIT if all(x == field.zero() for x in tag) else Label(kind, tag)
-        if not rule.known_labels(label):
+            label = rule.label(kind, rule.base(kind).parse(body[2:-1].split(",")))
+        if not rule.owns(label):
             raise GrothError(f"label {label!r} is foreign to rule {rule.name}")
         out = out + GrElement.of(label, coeff)
     return out

@@ -481,10 +481,11 @@ def eigenvalues_in_field(m: Matrix) -> list:
     the roots of ``charpoly(m)`` in the field.
 
     Over F_p every residue is a candidate, in ascending order; over Q the
-    candidates are 0 and then the p/q of the rational root theorem.  Each
-    candidate p/q is tested by one integer Horner evaluation of
-    q^deg * chi(p/q), which is a root exactly when it is 0 (over Q) or
-    divisible by the characteristic (over F_p).
+    candidates are 0 and then the p/q of the rational root theorem, with
+    p at most B * q for the largest absolute row sum B of M, which bounds
+    every eigenvalue.  Each candidate p/q is tested by one integer Horner
+    evaluation of q^deg * chi(p/q), which is a root exactly when it is 0
+    (over Q) or divisible by the characteristic (over F_p).
     """
     f = m.field
     char = f.characteristic
@@ -495,10 +496,11 @@ def eigenvalues_in_field(m: Matrix) -> list:
         den = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * den) for c in coeffs]
         low = next(c for c in ints if c)  # value of chi(t) / t^k at t = 0
+        bound = int(max((sum(map(abs, r)) for r in m.rows), default=0) * den)
         candidates = dict.fromkeys(
             Fraction(num, q)
-            for p in [0, *_divisors(abs(low))]
-            for q in _divisors(den)
+            for p in [0, *_divisors(abs(low), bound)]
+            for q in _divisors(den, den)
             for num in (p, -p)
         )
     out = []
@@ -513,9 +515,13 @@ def eigenvalues_in_field(m: Matrix) -> list:
     return out
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, bound: int) -> list[int]:
+    """The divisors of n that are at most bound, ascending, in
+    O(min(sqrt(n), bound)) trial divisions."""
+    if bound < isqrt(n):
+        return [i for i in range(1, bound + 1) if n % i == 0]
     small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return sorted(set(small + [n // i for i in small]))
+    return sorted(d for d in set(small + [n // i for i in small]) if d <= bound)
 
 
 def eigenspace(m: Matrix, eigenvalue) -> Subspace:

@@ -27,19 +27,14 @@ from .algebra import (
     make_S,
     make_e,
     make_sl2,
-    products_and_series,
-    sl2_module_matrices,
 )
 from .bimodule import (
     BimoduleError,
     adjoint,
-    antisymmetrize,
     classify_flags,
     duality_morphism_checks,
     kernels_and_invariants,
     one_dim_bimodule,
-    symmetrize,
-    trivial_bimodule,
 )
 from .chop import bruteforce_invariant_subspaces, chop, oracle_composition_factors
 from .envelope import (
@@ -54,8 +49,6 @@ from .groth import (
     ClassRegistry,
     GrElement,
     Label,
-    UNIT,
-    class_of_bimodule,
     criterion_scan,
     gr_mul,
     identity_checkers,
@@ -63,7 +56,7 @@ from .groth import (
     verify_ring_vs_modules,
     weight_rule,
 )
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Subspace, unit_vector
 from .samples import random_full_bimodule, random_weak_bimodule
 from .tensor import (
     nonassociativity_witness,
@@ -252,42 +245,23 @@ def check_rigidity(seed=0) -> CheckResult:
     )
 
 
-def _sl2_objects(max_weight):
-    sl2 = make_sl2(QQ)
-    objs = [trivial_bimodule(sl2, 1)]
-    for n in range(1, max_weight + 1):
-        objs.append(symmetrize(sl2, sl2_module_matrices(QQ, n)))
-        objs.append(antisymmetrize(sl2, sl2_module_matrices(QQ, n)))
-    return sl2, objs
-
-
 def check_clebsch_gordan(seed=0) -> CheckResult:
     """Composition factors of the truncated square of the natural module,
     and ring-vs-module agreement for all small pairs."""
     probs = []
-    sl2, objs = _sl2_objects(2)
-    m = symmetrize(sl2, sl2_module_matrices(QQ, 1))
+    sl2_reg = ClassRegistry("sl2", make_sl2(QQ))
+    m = sl2_reg.module(Label("sym", 1))
     rep = chop(trunc_bar(m, m))
     dims = sorted(
         (f.dim, f.symmetric and not f.trivial, f.trivial) for f in rep.factors
     )
     if dims != [(1, False, True), (3, True, False)] or not rep.certified:
         probs.append(f"truncated square factors wrong: {dims}")
-    reg = ClassRegistry("sl2", sl2)
-    out = verify_ring_vs_modules(reg.rule(), reg, [(x, y) for x in objs for y in objs])
-    if not out["ok"]:
-        probs.append("sl2 ring/module reconciliation fails")
-    e = make_e(QQ)
-    lines = [trivial_bimodule(e, 1)]
-    for lam in (-1, 1):
-        lines.append(symmetrize(e, [Matrix(QQ, [[lam]])]))
-        lines.append(antisymmetrize(e, [Matrix(QQ, [[lam]])]))
-    rege = ClassRegistry("weight", e)
-    out_e = verify_ring_vs_modules(
-        rege.rule(), rege, [(x, y) for x in lines for y in lines]
-    )
-    if not out_e["ok"]:
-        probs.append("weight ring/module reconciliation fails")
+    for reg, size in ((sl2_reg, 2), (ClassRegistry("weight", make_e(QQ)), 1)):
+        rule = reg.rule()
+        objs = [reg.module(l) for l in rule.window(size)]
+        if not verify_ring_vs_modules(rule, reg, [(x, y) for x in objs for y in objs])["ok"]:
+            probs.append(f"{reg.kind} ring/module reconciliation fails")
     return _result(
         "8-clebsch-gordan",
         not probs,

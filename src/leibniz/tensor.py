@@ -104,7 +104,12 @@ class TruncationData:
 
 def truncation_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T(M, N): action closure of the MLL defect span; defined for weak factors."""
-    tensor = tensor_bimodule(a, b)
+    return defect_closure(tensor_bimodule(a, b), a, b)
+
+
+def defect_closure(tensor: Bimodule, a: Bimodule, b: Bimodule) -> Subspace:
+    """T(M, N) as a subspace of ``tensor``, the tensor product M (x) N that
+    the caller has already built."""
     return subbimodule_closure(tensor, mll_defect_span(a, b).basis_vectors())
 
 
@@ -139,7 +144,8 @@ def _truncation_data(a: Bimodule, b: Bimodule, t0: Subspace) -> TruncationData:
 
 def trunc_bar(a: Bimodule, b: Bimodule) -> Bimodule:
     """(M (x) N) / T(M, N); available for any weak factors."""
-    return quotient(tensor_bimodule(a, b), truncation_kernel(a, b))
+    tensor = tensor_bimodule(a, b)
+    return quotient(tensor, defect_closure(tensor, a, b))
 
 
 def trunc_under(a: Bimodule, b: Bimodule) -> Bimodule:

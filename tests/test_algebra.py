@@ -239,6 +239,7 @@ class TestJson:
             alg = make(QQ)
             again = LeibnizAlgebra.from_json(alg.to_json())
             assert again == alg
+            assert hash(again) == hash(alg)  # equal algebras share cache keys
 
     def test_roundtrip_prime_field(self):
         alg = make_N(FF(3))

@@ -10,6 +10,7 @@ import leibniz.tensor
 from leibniz.algebra import LeibnizAlgebra, make_A, make_N
 from leibniz.bimodule import Bimodule, adjoint
 from leibniz.cli import build_parser, main
+from leibniz.fields import QQ
 
 
 def counting(calls, name, fn):
@@ -56,16 +57,12 @@ class TestBasics:
 
 class TestRoundTrips:
     def test_algebra_emit_then_parse(self, capsys):
-        from leibniz.fields import QQ
-
         code, out, _ = run(capsys, "check", "--example", "N", "--dump", "--json")
         assert code == 0
         doc = json.loads(out)["algebra"]
         assert LeibnizAlgebra.from_json(json.dumps(doc)) == make_N(QQ)
 
     def test_algebra_file_input(self, tmp_path, capsys):
-        from leibniz.fields import QQ
-
         p = tmp_path / "alg.json"
         p.write_text(make_A(QQ).to_json())
         code, out, _ = run(capsys, "kernel", "--algebra-file", str(p), "--json")
@@ -78,13 +75,9 @@ class TestRoundTrips:
         )
         assert code == 0
         doc = json.loads(out)["module"]
-        from leibniz.fields import QQ
-
         assert Bimodule.from_json(json.dumps(doc)) == adjoint(make_A(QQ))
 
     def test_malformed_scalar_rejected(self, tmp_path, capsys):
-        from leibniz.fields import QQ
-
         bad = make_A(QQ).to_json().replace('"1"', '"1/0"')
         p = tmp_path / "bad.json"
         p.write_text(bad)
@@ -92,8 +85,6 @@ class TestRoundTrips:
         assert code == 1 and "error" in err
 
     def test_bimodule_file_with_algebra_path(self, tmp_path, capsys):
-        from leibniz.fields import QQ
-
         alg_path = tmp_path / "alg.json"
         alg_path.write_text(make_A(QQ).to_json())
         doc = json.loads(adjoint(make_A(QQ)).to_json())
@@ -108,8 +99,6 @@ class TestRoundTrips:
         assert json.loads(out)["axioms"]["kind"] == "full"
 
     def test_mismatched_bimodule_rejected(self, tmp_path, capsys):
-        from leibniz.fields import QQ
-
         doc = json.loads(adjoint(make_A(QQ)).to_json())
         doc["lambda"] = doc["lambda"][:1]  # one action matrix missing
         p = tmp_path / "mod.json"
@@ -141,6 +130,17 @@ class TestWorkedExamples:
         code, _, _ = run(capsys, "trunc", which, "--example", "A", "--json")
         assert code == 0
         assert calls == {"mll_defect_span": spans, "subbimodule_closure": spans}
+
+    def test_trunc_bar_builds_one_tensor_product(self, monkeypatch, capsys):
+        calls = {"tensor_bimodule": 0}
+        for mod in (leibniz.cli, leibniz.tensor):
+            wrapped = counting(calls, "tensor_bimodule", mod.tensor_bimodule)
+            monkeypatch.setattr(mod, "tensor_bimodule", wrapped)
+        code, _, _ = run(capsys, "trunc", "--bar", "--example", "A", "--json")
+        assert code == 0 and calls["tensor_bimodule"] == 1
+        ad = adjoint(make_A(QQ))
+        assert leibniz.tensor.trunc_bar(ad, ad).dim == 3
+        assert calls["tensor_bimodule"] == 2
 
     def test_trunc_report_nilpotent_char2(self, capsys):
         code, out, _ = run(
@@ -221,6 +221,48 @@ class TestWorkedExamples:
         assert json.loads(out)["product"] == "S(2)+U"
 
 
+class TestGrRules:
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_gr_verify_weight_rule_keeps_its_dimension(self, capsys, k):
+        pairs = "UxU" if k == 0 else "S(1,0)xA(0,1);S(1,1)xS(-1,0);UxA(1/2,1)"
+        code, out, _ = run(
+            capsys, "gr", "verify", "--rule", f"weight:{k}", "--pairs", pairs, "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rule"] == f"weight:{k}" and doc["ok"]
+        assert doc["pairs"] == len(pairs.split(";"))
+
+    def test_gr_verify_window_of_weight_rule(self, capsys):
+        code, out, _ = run(capsys, "gr", "verify", "--rule", "weight:2", "--max", "1", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] and doc["pairs"] == 17 * 17  # U and 8 nonzero tags per side
+
+    def test_gr_mul_reads_each_side_with_its_ring(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "gr", "mul", "--rule", "star:weight:1,sl2", "--lhs", "A(1)", "--rhs", "A(2)",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["product"] == "A(1)+A(3)"
+
+    def test_gr_mul_rejects_label_foreign_to_rule(self, capsys):
+        code, out, err = run(
+            capsys, "gr", "mul", "--rule", "star:z,z", "--lhs", "S(1)", "--rhs", "S(1)"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_gr_window_zero_is_the_default_window(self, capsys):
+        code, out, _ = run(
+            capsys, "gr", "props", "--rule", "sl2", "--window", "0", "--trials", "5", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["window_size"] == 13  # U and weights 1..6 per side
+
+
 class TestSeedHandling:
     def test_env_seed_overrides_default(self, monkeypatch):
         monkeypatch.setenv("LEIBNIZ_SEED", "17")
@@ -266,6 +308,10 @@ class TestOneLineErrors:
             ("chop", "--example", "abelian:-1"),
             ("chop", "--example", "sl2", "--left", "sym:L-1"),
             ("bimodule", "--example", "A", "--module", "trivial:-1"),
+            ("gr", "verify", "--rule", "sl2", "--max", "-1"),
+            ("gr", "props", "--rule", "sl2", "--window", "-1"),
+            ("gr", "props", "--rule", "sl2", "--trials", "-1"),
+            ("gr", "mul", "--rule", "weight:-1", "--lhs", "U", "--rhs", "U"),
         ],
     )
     def test_negative_sizes_rejected(self, capsys, argv):
@@ -280,3 +326,44 @@ class TestOneLineErrors:
         assert code == 1
         assert "LEIBNIZ_SEED" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ("gr", sub, "--rule", rule, *extra)
+                for rule in ("weight:x", "weight:-1", "star:z", "star:sl2,q", "nosuch")
+                for sub, extra in (
+                    ("mul", ("--lhs", "U", "--rhs", "U")),
+                    ("props", ()),
+                    ("verify", ()),
+                )
+            ),
+            *(
+                ("gr", "mul", "--rule", rule, "--lhs", label, "--rhs", "U")
+                for rule, label in (
+                    ("sl2", "S("),
+                    ("sl2", "Q(1)"),
+                    ("sl2", "S(1,2)"),
+                    ("sl2", "S(x)"),
+                    ("sl2", "S(-1)"),
+                    ("weight:1", "S(x)"),
+                    ("weight:1", "S(1,2)"),
+                    ("star:z,z", "S(1)"),
+                )
+            ),
+            *(
+                ("gr", "verify", "--rule", "sl2", "--pairs", pairs)
+                for pairs in ("S(1)xS(x)", "S(1)", "2*S(1)xU", "S(1)xQ(1)")
+            ),
+            ("gr", "verify", "--rule", "star:sl2,sl2"),
+            ("gr", "verify", "--rule", "sl2", "--max", "-2"),
+            ("gr", "props", "--rule", "weight:1", "--window", "-2"),
+            ("gr", "props", "--rule", "weight:1", "--trials", "-2"),
+        ],
+    )
+    def test_gr_bad_input_is_one_line(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (1, 2)
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err

@@ -2,8 +2,18 @@
 
 import pytest
 
-from leibniz.fields import QQ
-from leibniz.algebra import canonical_lie, make_A, make_e, make_sl2, sl2_module_matrices
+from leibniz import bimodule as bimodule_mod, groth as groth_mod, suite
+from leibniz.fields import FF, QQ
+from leibniz.algebra import (
+    LeibnizAlgebra,
+    builtin_algebra,
+    canonical_lie,
+    make_A,
+    make_S,
+    make_e,
+    make_sl2,
+    sl2_module_matrices,
+)
 from leibniz.bimodule import antisymmetrize, adjoint, one_dim_bimodule, symmetrize, trivial_bimodule
 from leibniz.groth import (
     ClassRegistry,
@@ -43,10 +53,13 @@ def wtag(*vals):
 
 WR = weight_rule(QQ, 1)
 SR = sl2_rule()
+# the closed forms below are checked on the star products themselves
+WSTAR = star_product(group_base(QQ, 1), group_base(QQ, 1))
+SSTAR = star_product(cg_base(), cg_base())
 
 
 def wmul(a, b):
-    return gr_mul(WR, GrElement.of(a), GrElement.of(b))
+    return gr_mul(WSTAR, GrElement.of(a), GrElement.of(b))
 
 
 def smul(x, y):
@@ -54,7 +67,7 @@ def smul(x, y):
         x = GrElement.of(x)
     if isinstance(y, Label):
         y = GrElement.of(y)
-    return gr_mul(SR, x, y)
+    return gr_mul(SSTAR, x, y)
 
 
 class TestClebschGordan:
@@ -93,19 +106,19 @@ class TestWeightRule:
 
     def test_the_associativity_counterexample(self):
         u, v, w = (GrElement.of(l) for l in (S(wtag(1)), S(wtag(-1)), A(wtag(1))))
-        lhs = gr_mul(WR, gr_mul(WR, u, v), w)
-        rhs = gr_mul(WR, u, gr_mul(WR, v, w))
+        lhs = gr_mul(WSTAR, gr_mul(WSTAR, u, v), w)
+        rhs = gr_mul(WSTAR, u, gr_mul(WSTAR, v, w))
         assert lhs == GrElement.of(A(wtag(1)))
         assert rhs.is_zero()
 
     def test_scaled_bilinearity(self):
         two_s1 = GrElement.of(S(wtag(1)), 2)
-        assert gr_mul(WR, two_s1, GrElement.of(S(wtag(1)))) == GrElement.of(
+        assert gr_mul(WSTAR, two_s1, GrElement.of(S(wtag(1)))) == GrElement.of(
             S(wtag(2)), 2
         )
 
     def test_zero_weight_space_is_integers(self):
-        r0 = weight_rule(QQ, 0)
+        r0 = star_product(group_base(QQ, 0), group_base(QQ, 0))
         assert r0.window(2) == [UNIT]
         assert gr_mul(r0, GrElement.of(UNIT, 3), GrElement.of(UNIT, 5)) == GrElement.of(
             UNIT, 15
@@ -113,7 +126,7 @@ class TestWeightRule:
 
     def test_foreign_label_rejected(self):
         with pytest.raises(GrothError):
-            WR.mul_labels(S(1), S(2))  # sl2-style integer tags
+            WSTAR.mul(S(1), S(2))  # sl2-style integer tags
 
 
 class TestSl2Rule:
@@ -243,24 +256,46 @@ class TestStarProduct:
         rule = star_product(group_base(QQ, 1), cg_base())
         a = Label("sym", wtag(2))
         b = Label("anti", 3)
-        assert rule.mul_labels(a, b).is_zero()
-        assert rule.mul_labels(UNIT, b) == GrElement.of(b)
+        assert rule.mul(a, b).is_zero()
+        assert rule.mul(UNIT, b) == GrElement.of(b)
 
     def test_agrees_with_weight_rule(self):
         for k in (1, 2):
             star = star_product(group_base(QQ, k), group_base(QQ, k))
             direct = weight_rule(QQ, k)
+            assert (direct.name, direct.default_window) == (f"weight:{k}", 2)
             window = direct.window(1)
+            assert star.window(1) == window
             for x in window:
                 for y in window:
                     assert star.mul(x, y) == direct.mul(x, y)
 
     def test_agrees_with_sl2_rule(self):
         star = star_product(cg_base(), cg_base())
+        assert (SR.name, SR.default_window) == ("sl2", 6)
         window = SR.window(4)
+        assert star.window(4) == window
         for x in window:
             for y in window:
                 assert star.mul(x, y) == SR.mul(x, y)
+
+    def test_each_side_reads_its_own_tags(self):
+        mixed = star_product(group_base(QQ, 1), cg_base())
+        e = parse_element(mixed, "S(1/2)+A(2)")
+        assert e == GrElement.of(S((QQ.parse("1/2"),))) + GrElement.of(A(2))
+        assert gr_mul(mixed, GrElement.of(A(1)), GrElement.of(A(2))) == (
+            GrElement.of(A(3)) + GrElement.of(A(1))
+        )
+        with pytest.raises(GrothError):
+            mixed.mul(S(2), S(1))  # an integer tag is foreign to the weight side
+
+    def test_integers_have_no_tags(self):
+        zz = star_product(integer_base(), integer_base())
+        with pytest.raises(GrothError):
+            parse_element(zz, "S(1)")
+        with pytest.raises(GrothError):
+            zz.mul(S(1), S(1))
+        assert parse_element(zz, "2*U") == GrElement.of(UNIT, 2)
 
 
 class TestClasses:
@@ -327,6 +362,78 @@ class TestClasses:
         assert out["ok"]
 
 
+class TestRegistryModules:
+    """``ClassRegistry.module`` is the inverse of ``class_of_bimodule`` on
+    labels."""
+
+    @pytest.mark.parametrize("field", [QQ, FF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("name", ["e", "A", "N", "abelian:2"])
+    def test_weight_round_trip(self, name, field):
+        reg = ClassRegistry("weight", builtin_algebra(name, field))
+        for l in reg.rule().window(1):
+            assert class_of_bimodule(reg.module(l), reg) == GrElement.of(l)
+
+    @pytest.mark.parametrize("make", [make_sl2, make_S], ids=["sl2", "hemi-sl2-L1"])
+    def test_sl2_round_trip(self, make):
+        reg = ClassRegistry("sl2", make(QQ))
+        for l in reg.rule().window(3):
+            assert class_of_bimodule(reg.module(l), reg) == GrElement.of(l)
+
+    def test_module_is_built_once(self):
+        for reg, label in (
+            (ClassRegistry("sl2", make_sl2(QQ)), A(2)),
+            (ClassRegistry("weight", make_A(QQ)), S(wtag(-1))),
+            (ClassRegistry("weight", make_e(QQ)), UNIT),
+        ):
+            assert reg.module(label) is reg.module(label)
+
+    def test_weight_functional_vanishes_on_products(self):
+        # in A the product h e = e spans the line of e, so the functional
+        # takes its tag at h and vanishes at e
+        mod = ClassRegistry("weight", make_A(QQ)).module(S(wtag(3)))
+        assert [m.rows[0][0] for m in mod.lam] == [3, 0]
+        assert [m.rows[0][0] for m in mod.rho] == [-3, 0]
+        assert mod.is_full()
+
+    def test_weight_functional_when_span_is_not_a_coordinate_line(self):
+        # A in the basis (h, e + h): products span the line of (-1, 1), so
+        # a functional vanishing on it takes equal values at both basis vectors
+        z, o, m = QQ.zero(), QQ.one(), QQ.from_int(-1)
+        alg = LeibnizAlgebra(QQ, ["x", "y"], [[[z, z], [m, o]], [[z, z], [m, o]]])
+        reg = ClassRegistry("weight", alg)
+        mod = reg.module(A(wtag(2)))
+        assert [m.rows[0][0] for m in mod.lam] == [2, 2]
+        for l in reg.rule().window(1):
+            assert class_of_bimodule(reg.module(l), reg) == GrElement.of(l)
+
+    def test_foreign_labels_rejected(self):
+        with pytest.raises(GrothError):
+            ClassRegistry("weight", make_A(QQ)).module(S(wtag(1, 2)))
+        for label in (A(-1), S(wtag(1))):
+            with pytest.raises(GrothError):
+                ClassRegistry("sl2", make_sl2(QQ)).module(label)
+
+    def test_clebsch_gordan_check_classes_each_input_once(self, monkeypatch):
+        calls = {"class_of_bimodule": 0, "_check_llm": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(groth_mod, "class_of_bimodule")
+        counting(bimodule_mod, "_check_llm")
+        bimodule_mod.sl2_irreducible.cache_clear()
+        assert suite.check_clebsch_gordan(1).ok
+        # 5 inputs and 50 truncated products for each of the two rings
+        assert calls["class_of_bimodule"] == 110
+        assert calls["_check_llm"] < 94
+
+
 class TestParsing:
     def test_sl2_expressions(self):
         e = parse_element(SR, "2*S(1)+A(1)-U")
@@ -335,13 +442,13 @@ class TestParsing:
         )
 
     def test_weight_expressions_with_rationals(self):
-        e = parse_element(WR, "S(1/2)-3*A(-1)", QQ)
+        e = parse_element(WR, "S(1/2)-3*A(-1)")
         assert e.terms[Label("sym", (QQ.parse("1/2"),))] == 1
         assert e.terms[Label("anti", (QQ.parse("-1"),))] == -3
 
     def test_zero_tag_folds_to_unit(self):
         assert parse_element(SR, "S(0)") == GrElement.of(UNIT)
-        assert parse_element(WR, "A(0)", QQ) == GrElement.of(UNIT)
+        assert parse_element(WR, "A(0)") == GrElement.of(UNIT)
 
     def test_bad_terms_rejected(self):
         with pytest.raises(GrothError):

@@ -200,3 +200,18 @@ class TestEigenvalueShapes:
         got = eigenvalues_in_field(m)
         assert sorted(got) == sorted(set(diag))
         assert set(got) == sympy_eigenvalues(m)
+
+    @pytest.mark.parametrize("n, bound", [(9, 40), (7, 1000)])
+    def test_large_constant_terms(self, n, bound):
+        """Integer matrices whose characteristic polynomial has a constant
+        term near 10^14 (9x9) or 10^20 (7x7); the zero column under the
+        corner plants the rational eigenvalue m[0][0]."""
+        rng = random.Random(n)
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        for row in rows[1:]:
+            row[0] = 0
+        m = Matrix.from_ints(QQ, rows)
+        assert abs(charpoly(m)[0]) > 10**12
+        got = eigenvalues_in_field(m)
+        assert Fraction(rows[0][0]) in got
+        assert set(got) == sympy_eigenvalues(m)

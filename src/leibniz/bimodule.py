@@ -45,21 +45,27 @@ class AxiomReport:
 
 
 class Bimodule:
-    """Matrix realization of a two-sided module; immutable after creation."""
+    """Matrix realization of a two-sided module; immutable after creation.
 
-    def __init__(self, algebra: LeibnizAlgebra, lam, rho):
+    ``dim`` is needed only when the algebra has no basis, so that there are
+    no action matrices to read it off.
+    """
+
+    def __init__(self, algebra: LeibnizAlgebra, lam, rho, dim: int | None = None):
         self.algebra = algebra
         self.lam = tuple(lam)
         self.rho = tuple(rho)
         if len(self.lam) != algebra.dim or len(self.rho) != algebra.dim:
             raise BimoduleError("one action matrix per algebra basis element")
-        dims = {m.shape for m in self.lam + self.rho}
-        if len(dims) > 1:
+        shapes = {m.shape for m in self.lam + self.rho}
+        if len(shapes) > 1:
             raise BimoduleError("action matrices of unequal sizes")
-        shape = dims.pop() if dims else (0, 0)
-        if shape[0] != shape[1]:
+        rows, cols = shapes.pop() if shapes else (dim or 0, dim or 0)
+        if rows != cols:
             raise BimoduleError("action matrices must be square")
-        self.dim = shape[0]
+        if dim is not None and dim != rows:
+            raise BimoduleError(f"declared dim {dim} disagrees with {rows} x {rows} matrices")
+        self.dim = rows
         self._report: AxiomReport | None = None
 
     @property
@@ -87,6 +93,7 @@ class Bimodule:
         return (
             isinstance(other, Bimodule)
             and self.algebra == other.algebra
+            and self.dim == other.dim
             and self.lam == other.lam
             and self.rho == other.rho
         )
@@ -135,10 +142,10 @@ class Bimodule:
             rho = [parse(m) for m in doc["rho"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise BimoduleError(f"bad bimodule document: {exc}") from None
-        mod = Bimodule(algebra, lam, rho)
-        if doc.get("dim") != mod.dim:
-            raise BimoduleError("declared dim disagrees with matrices")
-        return mod
+        dim = doc.get("dim")
+        if type(dim) is not int or dim < 0:
+            raise BimoduleError("bimodule dim must be a non-negative integer")
+        return Bimodule(algebra, lam, rho, dim)
 
 
 @dataclass
@@ -247,7 +254,7 @@ def trivial_bimodule(algebra: LeibnizAlgebra, dim: int = 1) -> Bimodule:
     if dim < 0:
         raise BimoduleError(f"bimodule dimension must be non-negative, not {dim}")
     z = [Matrix.zeros(algebra.field, dim, dim) for _ in range(algebra.dim)]
-    return Bimodule(algebra, list(z), list(z))
+    return Bimodule(algebra, list(z), list(z), dim)
 
 
 def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimodule:
@@ -257,7 +264,7 @@ def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimo
         raise BimoduleError("one functional value per basis element")
     lam = [Matrix(f, [[f.coerce(a)]]) for a in left_values]
     rho = [Matrix(f, [[f.coerce(c)]]) for c in right_values]
-    return Bimodule(algebra, lam, rho)
+    return Bimodule(algebra, lam, rho, 1)
 
 
 def conjugate(mod: Bimodule, p: Matrix) -> Bimodule:
@@ -267,6 +274,7 @@ def conjugate(mod: Bimodule, p: Matrix) -> Bimodule:
         mod.algebra,
         [p * m * pinv for m in mod.lam],
         [p * m * pinv for m in mod.rho],
+        mod.dim,
     )
 
 
@@ -286,6 +294,7 @@ def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
         a.algebra,
         [block(x, y) for x, y in zip(a.lam, b.lam)],
         [block(x, y) for x, y in zip(a.rho, b.rho)],
+        m + n,
     )
 
 
@@ -382,7 +391,7 @@ def restrict(mod: Bimodule, space: Subspace) -> Bimodule:
         return Matrix(f, cols, len(rows)).transpose()
 
     return Bimodule(
-        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho]
+        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho], len(rows)
     )
 
 
@@ -394,6 +403,7 @@ def quotient(mod: Bimodule, space: Subspace) -> Bimodule:
         mod.algebra,
         [induced_on_quotient(m, space) for m in mod.lam],
         [induced_on_quotient(m, space) for m in mod.rho],
+        mod.dim - space.dim,
     )
 
 
@@ -421,7 +431,7 @@ def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
     rho = [
         rt.kron(im) - iN.kron(rs.transpose()) for rs, rt in zip(src.rho, dst.rho)
     ]
-    return Bimodule(src.algebra, lam, rho)
+    return Bimodule(src.algebra, lam, rho, src.dim * dst.dim)
 
 
 def dual(mod: Bimodule) -> Bimodule:

@@ -285,6 +285,7 @@ def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
             mod.algebra,
             [m.transpose() for m in mod.lam],
             [m.transpose() for m in mod.rho],
+            mod.dim,
         )
         tprobes = [unit_vector(field, d, i) for i in range(d)]
         tfound = _proper_spin(transposed, tprobes)

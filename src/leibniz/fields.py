@@ -69,7 +69,15 @@ class Field:
         return a == self.zero()
 
     def parse(self, text: str):
-        raise NotImplementedError
+        """A scalar from ``a`` or ``a/b`` with integers a, b."""
+        num, slash, den = text.strip().partition("/")
+        try:
+            num, den = int(num), int(den) if slash else 1
+        except ValueError:
+            raise FieldError(f"bad scalar {text!r} for field {self.spec}") from None
+        if self.is_zero(self.from_int(den)):
+            raise FieldError(f"zero denominator in {text!r} for field {self.spec}")
+        return self.div(self.from_int(num), self.from_int(den))
 
     def format(self, a) -> str:
         raise NotImplementedError
@@ -132,16 +140,6 @@ class Rationals(Field):
             raise FieldError("division by zero")
         return 1 / a
 
-    def parse(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            d = int(den)
-            if d == 0:
-                raise FieldError(f"zero denominator in {text!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(text))
-
     def format(self, a):
         return str(a)
 
@@ -198,13 +196,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def parse(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return int(text) % self.p
 
     def format(self, a):
         return str(a % self.p)

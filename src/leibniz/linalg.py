@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p: dense matrices, sparse row reduction.
 
 Everything here is pure and value-semantic: matrices are tuples of tuples
-of scalars, subspaces are row-reduced basis matrices.  Reduced row echelon
-form is the canonical representative of a subspace, so two spanning sets
-of the same space always produce equal ``Subspace`` objects.  There is one
+of scalars, subspaces are row-reduced basis matrices, and the row reducer
+keeps ``{column: scalar}`` rows.  Reduced row echelon form is the
+canonical representative of a subspace, so two spanning sets of the same
+space always produce equal ``Subspace`` objects.  There is one
 characteristic polynomial, valid in every characteristic; the eigenvalues
 in the field are its roots and the determinant is read off it.
 
@@ -15,6 +16,7 @@ coordinates, i.e. ``A.kron(B) @ (u (x) w) == (A u) (x) (B w)``.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Sequence
@@ -36,7 +38,8 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
         self.field = field
-        self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
+        coerce = field.coerce
+        self.rows = tuple([tuple(map(coerce, r)) for r in rows])
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -77,28 +80,15 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        self._same_shape(other)
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
+        return self._entrywise(self.field.sub, other)
+
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+        rows = [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
@@ -187,83 +177,102 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 class RowReducer:
-    """Incremental reduced row echelon form.
+    """Incremental reduced row echelon form on sparse rows.
 
-    Rows are kept fully reduced (each pivot is 1 and is the only nonzero
-    entry in its column) and sorted by pivot, so ``basis()`` is canonical
-    for the span regardless of insertion order.
+    Each row is a ``{column: nonzero scalar}`` dict kept under its pivot,
+    its smallest column.  Rows stay fully reduced (each pivot entry is 1 and
+    the only nonzero in its column), so ``basis()`` is canonical for the
+    span regardless of insertion order, and reducing a vector subtracts
+    each row whose pivot it hits once.  Vectors are dense sequences or
+    ``{column: scalar}`` dicts; ``reduce`` answers in the form given.
     """
 
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
+        self.pivots: list[int] = []  # ascending
+        self._rows: dict[int, dict] = {}  # pivot -> row
 
-    def _eliminate(self, vec: Sequence, coeffs: list | None) -> list:
-        """Residual of ``vec`` after eliminating all current pivots; the
-        multiple of each basis row taken off is appended to ``coeffs``."""
+    def _sparse(self, vec) -> dict:
+        """A fresh ``{column: nonzero scalar}`` copy of ``vec``."""
+        coerce = self.field.coerce
+        if isinstance(vec, dict):
+            if any(not 0 <= j < self.width for j in vec):
+                raise LinAlgError(f"column out of range in dimension {self.width}")
+            return {j: x for j, x in zip(vec, map(coerce, vec.values())) if x}
+        if len(vec) != self.width:
+            raise LinAlgError(f"vector of length {len(vec)} in dimension {self.width}")
+        return {j: x for j, x in enumerate(map(coerce, vec)) if x}
+
+    def _dense(self, v: dict) -> list:
+        out = [self.field.zero()] * self.width
+        for j, x in v.items():
+            out[j] = x
+        return out
+
+    def _eliminate(self, v: dict, rows: dict | None = None) -> dict:
+        """Subtract from the sparse vector ``v``, in place, each of ``rows``
+        (by default the stored rows) whose pivot column it hits, once."""
         f = self.field
-        zero = f.zero()
-        v = [f.coerce(x) for x in vec]
-        if len(v) != self.width:
-            raise LinAlgError("vector length mismatch")
-        for row, p in zip(self.rows, self.pivots):
+        sub, mul, zero = f.sub, f.mul, f.zero()
+        rows = self._rows if rows is None else rows
+        for p in [j for j in v if j in rows]:
             c = v[p]
-            if coeffs is not None:
-                coeffs.append(c)
-            if c != zero:
-                for j in range(p, self.width):
-                    if row[j] != zero:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
+            for j, x in rows[p].items():
+                y = sub(v.get(j, zero), mul(c, x))
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
         return v
 
-    def reduce(self, vec: Sequence) -> list:
+    def _store(self, pivot: int, row: dict) -> None:
+        """Add a reduced ``row`` with a 1 at ``pivot`` and clear that column
+        in the other rows; only those with a smaller pivot can reach it."""
+        at = bisect.bisect(self.pivots, pivot)
+        for p in self.pivots[:at]:
+            if pivot in self._rows[p]:
+                self._eliminate(self._rows[p], {pivot: row})
+        self._rows[pivot] = row
+        self.pivots.insert(at, pivot)
+
+    def reduce(self, vec):
         """Residual of ``vec`` after eliminating all current pivots."""
-        return self._eliminate(vec, None)
+        v = self._eliminate(self._sparse(vec))
+        return v if isinstance(vec, dict) else self._dense(v)
 
-    def coords(self, vec: Sequence) -> list | None:
+    def coords(self, vec) -> list | None:
         """Coefficients of ``vec`` over the current basis, or None."""
-        cs = []
-        residual = self._eliminate(vec, cs)
-        zero = self.field.zero()
-        return cs if all(x == zero for x in residual) else None
+        v = self._sparse(vec)
+        cs = [v.get(p, self.field.zero()) for p in self.pivots]
+        return None if self._eliminate(v) else cs
 
-    def contains(self, vec: Sequence) -> bool:
-        z = self.field.zero()
-        return all(x == z for x in self.reduce(vec))
+    def contains(self, vec) -> bool:
+        return not self._eliminate(self._sparse(vec))
 
-    def insert(self, vec: Sequence) -> bool:
+    def insert(self, vec) -> bool:
         """Add ``vec`` to the span; True if the rank grew."""
         f = self.field
-        zero = f.zero()
-        v = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(v) if x != zero), None)
-        if pivot is None:
+        v = self._eliminate(self._sparse(vec))
+        if not v:
             return False
+        pivot = min(v)
         c = f.inv(v[pivot])
-        v = [f.mul(c, x) for x in v]
-        # clear the new pivot column in existing rows
-        for row in self.rows:
-            c = row[pivot]
-            if c != zero:
-                for j in range(pivot, self.width):
-                    if v[j] != zero:
-                        row[j] = f.sub(row[j], f.mul(c, v[j]))
-        at = next(
-            (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
-        )
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+        self._store(pivot, {j: f.mul(c, x) for j, x in v.items()})
         return True
 
-    def insert_all(self, vecs: Iterable[Sequence]) -> None:
+    def insert_all(self, vecs: Iterable) -> None:
         for v in vecs:
             self.insert(v)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> list[list]:
+        """The rows as dense lists, in pivot order."""
+        return [self._dense(self._rows[p]) for p in self.pivots]
 
     def basis(self) -> Matrix:
         return Matrix(self.field, self.rows, self.width)
@@ -283,12 +292,7 @@ class Subspace:
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         red = RowReducer(field, ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise LinAlgError(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-            red.insert(v)
+        red.insert_all(vectors)
         return Subspace(field, ambient_dim, red.basis(), tuple(red.pivots))
 
     @staticmethod
@@ -313,8 +317,11 @@ class Subspace:
 
     def reducer(self) -> RowReducer:
         red = RowReducer(self.field, self.ambient_dim)
-        red.rows = [list(r) for r in self.basis.rows]
         red.pivots = list(self.pivots)
+        red._rows = {
+            p: {j: x for j, x in enumerate(r) if x}
+            for p, r in zip(self.pivots, self.basis.rows)
+        }
         return red
 
     def contains(self, vec: Sequence) -> bool:
@@ -348,18 +355,18 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim, red.basis(), tuple(red.pivots))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [[U U],[V 0]]; rows with zero left half give
-        the intersection in the right half."""
+        """Zassenhaus: reduce [[U U],[V 0]]; the rows with zero left half,
+        those pivoting at n or later, give the intersection in their right
+        half, already in reduced echelon form."""
         self._check_ambient(other)
         f, n = self.field, self.ambient_dim
         z = f.zero()
         red = RowReducer(f, 2 * n)
-        for r in self.basis.rows:
-            red.insert(list(r) + list(r))
-        for r in other.basis.rows:
-            red.insert(list(r) + [z] * n)
-        out = [row[n:] for row in red.rows if all(x == z for x in row[:n])]
-        return Subspace.span(f, n, out)
+        red.insert_all(r + r for r in self.basis.rows)
+        red.insert_all(r + (z,) * n for r in other.basis.rows)
+        k = bisect.bisect_left(red.pivots, n)
+        rows = [row[n:] for row in red.rows[k:]]
+        return Subspace(f, n, Matrix(f, rows, n), tuple(p - n for p in red.pivots[k:]))
 
     def complement_coords(self) -> list[int]:
         """Indices of standard basis vectors spanning a complement."""
@@ -382,12 +389,13 @@ def nullspace(m: Matrix) -> Subspace:
     red.insert_all(m.rows)
     pivots = set(red.pivots)
     free = [j for j in range(m.ncols) if j not in pivots]
+    rows = list(zip(red.rows, red.pivots))
     basis = []
     one, zero = f.one(), f.zero()
     for j in free:
         v = [zero] * m.ncols
         v[j] = one
-        for row, p in zip(red.rows, red.pivots):
+        for row, p in rows:
             v[p] = f.neg(row[j])
         basis.append(v)
     return Subspace.span(f, m.ncols, basis)

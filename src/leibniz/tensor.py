@@ -49,7 +49,7 @@ def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     jn = Matrix.identity(f, b.dim)
     lam = [la.kron(jn) + im.kron(lb) for la, lb in zip(a.lam, b.lam)]
     rho = [ra.kron(jn) + im.kron(rb) for ra, rb in zip(a.rho, b.rho)]
-    return Bimodule(a.algebra, lam, rho)
+    return Bimodule(a.algebra, lam, rho, a.dim * b.dim)
 
 
 def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:

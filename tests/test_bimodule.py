@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz.fields import QQ, FF
-from leibniz.algebra import make_A, make_N, make_S, make_e, make_sl2
+from leibniz.algebra import make_A, make_N, make_S, make_abelian, make_e, make_sl2
 from leibniz.bimodule import (
     Bimodule,
     BimoduleError,
@@ -364,6 +364,22 @@ class TestSerialization:
         for text in ("[1, 2]", "3", '"adjoint"', "null"):
             with pytest.raises(BimoduleError):
                 Bimodule.from_json(text)
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_dimension_over_zero_dim_algebra(self, dim):
+        mod = trivial_bimodule(make_abelian(QQ, 0), dim)
+        assert mod.dim == dim
+        again = Bimodule.from_json(mod.to_json())
+        assert again.dim == dim and again == mod
+
+    def test_declared_dim_must_be_a_size(self):
+        import json
+
+        doc = json.loads(trivial_bimodule(make_abelian(QQ, 0), 2).to_json())
+        for bad in (-1, "2", None, True):
+            doc["dim"] = bad
+            with pytest.raises(BimoduleError):
+                Bimodule.from_json(json.dumps(doc))
 
     def test_dim_mismatch_rejected(self):
         import json

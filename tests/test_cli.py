@@ -233,6 +233,17 @@ class TestGrRules:
         assert doc["rule"] == f"weight:{k}" and doc["ok"]
         assert doc["pairs"] == len(pairs.split(";"))
 
+    def test_gr_verify_weight_zero_reconciles_unit_with_unit(self):
+        from leibniz.algebra import make_abelian
+        from leibniz.groth import UNIT, ClassRegistry, GrElement, verify_ring_vs_modules
+
+        reg = ClassRegistry("weight", make_abelian(QQ, 0))
+        unit = reg.module(UNIT)
+        assert unit.dim == 1
+        (case,) = verify_ring_vs_modules(reg.rule(), reg, [(unit, unit)])["cases"]
+        u = GrElement({UNIT: 1})
+        assert case["expected"] == case["bar"] == case["under"] == u
+
     def test_gr_verify_window_of_weight_rule(self, capsys):
         code, out, _ = run(capsys, "gr", "verify", "--rule", "weight:2", "--max", "1", "--json")
         assert code == 0
@@ -319,6 +330,20 @@ class TestOneLineErrors:
         assert code == 1
         assert err.startswith("error: ") and "non-negative" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("gr", "mul", "--rule", "weight:1", "--lhs", "S(x)", "--rhs", "U"), "Q"),
+            (("bimodule", "--example", "A", "--module", "sym:1,x,2"), "Q"),
+            (("bimodule", "--example", "A", "--field", "Fp:5", "--module", "onedim:0,x,0;0,0,0"),
+             "Fp:5"),
+        ],
+    )
+    def test_bad_scalar_names_term_and_field(self, capsys, argv, field):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: bad scalar 'x' for field {field}\n"
 
     def test_malformed_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("LEIBNIZ_SEED", "abc")

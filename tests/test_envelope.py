@@ -4,10 +4,10 @@ import itertools
 import random
 
 import pytest
-from sympy import QQ as SQQ
+from sympy import GF, QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
-from leibniz.fields import QQ
+from leibniz.fields import FF, QQ
 from leibniz.algebra import make_A, make_N, make_S, make_abelian, make_e, make_sl2
 from leibniz.bimodule import BimoduleError, adjoint, one_dim_bimodule
 from leibniz.envelope import (
@@ -110,11 +110,11 @@ class TestLowDegreeDimsOracle:
     words longer than d, both ranks taken by sympy's DomainMatrix on the
     spanning set u * rel * v in a word order of the test's own."""
 
-    @pytest.mark.parametrize("make", [make_e, make_A, make_N, make_sl2])
-    @pytest.mark.parametrize("top", [2, 3])
-    @pytest.mark.parametrize("which", ["ul", "ulweak", "ulie"])
-    def test_low_degree_dims_match_sympy_ranks(self, make, top, which):
-        pres = build_presentation(make(QQ), which, top)
+    @staticmethod
+    def sympy_low_degree_dims(pres, top):
+        p = pres.field.characteristic
+        dom = GF(p) if p else SQQ
+        scalar = (lambda c: dom(int(c))) if p else (lambda c: SQQ(c.numerator, c.denominator))
         gens = range(pres.ngens)
         words = [w for k in range(top + 1) for w in itertools.product(gens, repeat=k)]
         col = {w: i for i, w in enumerate(words)}
@@ -124,18 +124,43 @@ class TestLowDegreeDimsOracle:
                 for lb in range(top - 1 - la):
                     for u in itertools.product(gens, repeat=la):
                         for v in itertools.product(gens, repeat=lb):
-                            row = [SQQ(0)] * len(words)
-                            for w, c in rel.items():
-                                row[col[u + w + v]] = SQQ(c.numerator, c.denominator)
-                            spanning.append(row)
-        ideal = DomainMatrix(spanning, (len(spanning), len(words)), SQQ)
+                            spanning.append({col[u + w + v]: scalar(c) for w, c in rel.items()})
+        ideal = DomainMatrix(dict(enumerate(spanning)), (len(spanning), len(words)), dom)
         rank = ideal.rank()
         expected = []
         for d in range(top + 1):
             longer = [i for i, w in enumerate(words) if len(w) > d]
             projected = ideal.extract(range(len(spanning)), longer).rank() if longer else 0
             expected.append(rank - projected)
-        assert pres.low_degree_ideal_dims(top) == expected
+        return expected
+
+    @pytest.mark.parametrize("make", [make_e, make_A, make_N, make_sl2, make_S])
+    @pytest.mark.parametrize("top", [2, 3])
+    @pytest.mark.parametrize("which", ["ul", "ulweak", "ulie"])
+    def test_low_degree_dims_match_sympy_ranks(self, make, top, which):
+        pres = build_presentation(make(QQ), which, top)
+        assert pres.low_degree_ideal_dims(top) == self.sympy_low_degree_dims(pres, top)
+
+    @pytest.mark.parametrize("top", [2, 3])
+    @pytest.mark.parametrize("which", ["ul", "ulweak", "ulie"])
+    def test_hemi_sl2_over_f101(self, top, which):
+        pres = build_presentation(make_S(FF(101)), which, top)
+        assert pres.low_degree_ideal_dims(top) == self.sympy_low_degree_dims(pres, top)
+
+
+class TestHemiSl2Slices:
+    """hemi-sl2-L1 over Q at cutoff 3 (10 generators, 1,111 words), pinned
+    to the values of the dense reducer that preceded the sparse one."""
+
+    @pytest.mark.parametrize(
+        "which, dims, rank",
+        [("ul", [1, 9, 30, 140], 971), ("ulweak", [1, 9, 55, 415], 696)],
+    )
+    def test_filtered_dims_and_rank(self, which, dims, rank):
+        pres = build_presentation(make_S(QQ), which, 3)
+        assert len(pres.slice_words(3)) == 1111
+        assert pres.filtered_dims(3) == dims
+        assert pres.ideal_reducer(3).rank == rank
 
 
 class TestHoms:

@@ -18,6 +18,7 @@ from leibniz.fields import FF, QQ
 from leibniz.linalg import (
     LinAlgError,
     Matrix,
+    RowReducer,
     Subspace,
     charpoly,
     determinant,
@@ -112,6 +113,8 @@ class TestAgainstDomainMatrix:
         meet = u.intersect(w)
         assert meet.dim == want
         assert u.contains_subspace(meet) and w.contains_subspace(meet)
+        assert meet == Subspace.span(f, n, meet.basis.rows)
+        assert meet.pivots == Subspace.span(f, n, meet.basis.rows).pivots
 
     @given(matrices(square=True))
     @settings(max_examples=80, deadline=None)
@@ -141,6 +144,78 @@ class TestAgainstDomainMatrix:
     @settings(max_examples=80, deadline=None)
     def test_eigenvalues_over_fp_ascend(self, m):
         assert eigenvalues_in_field(m) == sorted(sympy_eigenvalues(m))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 30 rows of 1-4 entries in a width of up to 300, the columns
+    drawn from a pool small enough that rows often depend on each other;
+    each row is a ``{column: scalar}`` dict, its scalars possibly zero."""
+    field = draw(st.sampled_from(FIELDS))
+    width = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = rng.sample(range(width), rng.randint(1, min(width, 40)))
+    rows = [
+        {j: scalar(field, rng) for j in rng.sample(pool, min(len(pool), rng.randint(1, 4)))}
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    return field, width, rows, rng
+
+
+class TestSparseRowReducer:
+    """The sparse kernel on wide rows with few nonzeros, fed as dense lists
+    or as ``{column: scalar}`` dicts, against sympy's RREF: the residual of
+    v is v - sum_i v[p_i] R_i over the RREF rows R_i with pivots p_i."""
+
+    @given(sparse_systems(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_wide_sparse_rows(self, system, as_dict):
+        field, width, rows, rng = system
+        dense = lambda v: [v.get(j, 0) for j in range(width)]
+        feed = (lambda v: v) if as_dict else dense
+        red = RowReducer(field, width)
+        red.insert_all(feed(r) for r in rows)
+
+        dom = domain(field)
+        sym = lambda v: [to_sympy(field, field.coerce(x)) for x in dense(v)]
+        ref = DomainMatrix([sym(r) for r in rows], (len(rows), width), dom)
+        reduced, pivots = ref.rref()
+        rref = [[dom(x) for x in row] for row in reduced.to_list()[: len(pivots)]]
+        assert red.pivots == list(pivots) and red.rank == len(pivots)
+        assert red.basis() == Matrix(field, rows_of(reduced, field)[: len(pivots)], width)
+
+        shuffled = RowReducer(field, width)
+        shuffled.insert_all(feed(r) for r in rng.sample(rows, len(rows)))
+        assert shuffled.basis() == red.basis() and shuffled.pivots == red.pivots
+
+        combo = {}
+        for r in rng.sample(rows, min(len(rows), 3)):
+            c = scalar(field, rng)
+            for j, x in r.items():
+                combo[j] = field.add(combo.get(j, field.zero()), field.mul(c, field.coerce(x)))
+        stray = {j: scalar(field, rng) for j in rng.sample(range(width), min(width, 3))}
+        for probe in (combo, stray, {}):
+            v = sym(probe)
+            residual = list(v)
+            for row, p in zip(rref, pivots):
+                residual = [x - v[p] * y for x, y in zip(residual, row)]
+            want = [from_sympy(field, x) for x in residual]
+            in_span = not any(want)
+            got = red.reduce(feed(probe))
+            if as_dict:
+                assert got == {j: x for j, x in enumerate(want) if x}
+            else:
+                assert got == want
+            assert red.contains(feed(probe)) == in_span
+            coords = [from_sympy(field, v[p]) for p in pivots] if in_span else None
+            assert red.coords(feed(probe)) == coords
+        assert red.contains(feed(combo))
+
+    @pytest.mark.parametrize("vec", [{-1: 1}, {3: 1}, [1, 2]])
+    def test_bad_vectors_rejected(self, vec):
+        red = RowReducer(QQ, 3)
+        with pytest.raises(LinAlgError):
+            red.insert(vec)
 
 
 def sympy_eigenvalues(m: Matrix) -> set:

@@ -1,13 +1,14 @@
 """Paired, alternating benchmark runs of a parent checkout and this tree.
 
-Runs ``perfbench/run.py`` on each workload, once in the parent checkout and
-once in the working tree per pair, swapping which side goes first from one
-pair to the next, and writes every result line to ``BENCH_<pr>.json`` at
-the root of the repository, with the median and quartiles of each side and
-the number of pairs the change wins::
+Runs ``perfbench/run.py`` on each of the four workloads at a fixed seed,
+once in the parent checkout and once in the working tree per pair, for ten
+pairs, swapping which side goes first from one pair to the next.  Writes
+every result line to ``BENCH_<pr>.json`` at the root of the repository,
+with the median and quartiles of each side and the number of pairs the
+change wins::
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent commit>
-    python3 scripts/paired_bench.py --parent ../parent --pr <number> --pairs 10
+    python3 scripts/paired_bench.py --parent ../parent --pr <number>
 
 Each side runs its own ``perfbench/``.  This script never imports
 ``leibniz``.
@@ -25,6 +26,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("suite", "squares-q", "modules-fp", "envelope")
 METRICS = ("round_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
+SEED = 1
+SECONDS = 30
 
 
 def commit(tree: str) -> str:
@@ -32,10 +36,10 @@ def commit(tree: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: str, workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -55,8 +59,7 @@ def summary(runs: list[dict]) -> dict:
                     for s in ("parent", "change")}
             pairs = list(zip(side["parent"], side["change"]))
             out[workload][m] = {
-                **{s: {"median": statistics.median(v),
-                       "quartiles": statistics.quantiles(v, n=4) if len(v) > 1 else v * 3}
+                **{s: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4)}
                    for s, v in side.items()},
                 "change_wins": sum(c < p for p, c in pairs),
                 "pairs": len(pairs),
@@ -68,25 +71,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for side in order:
                 line = {"pair": pair, "side": side, "first": side == order[0],
-                        "seed": args.seed, "workload": workload,
-                        **run_once(sides[side], workload, args.seed, args.seconds)}
+                        "seed": SEED, "workload": workload, **run_once(sides[side], workload)}
                 print(json.dumps(line), flush=True)
                 runs.append(line)
-    doc = {"command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
+    doc = {"command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
            "parent": commit(sides["parent"]), "change": "working tree of " + commit(ROOT),
            "runs": runs, "summary": summary(runs)}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

@@ -47,8 +47,8 @@ class AxiomReport:
 class Bimodule:
     """Matrix realization of a two-sided module; immutable after creation.
 
-    ``dim`` is needed only when the algebra has no basis, so that there are
-    no action matrices to read it off.
+    ``dim`` is required only when the algebra has no basis, so that there
+    are no action matrices to read it off.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, lam, rho, dim: int | None = None):
@@ -60,7 +60,11 @@ class Bimodule:
         shapes = {m.shape for m in self.lam + self.rho}
         if len(shapes) > 1:
             raise BimoduleError("action matrices of unequal sizes")
-        rows, cols = shapes.pop() if shapes else (dim or 0, dim or 0)
+        if not shapes:
+            if dim is None:
+                raise BimoduleError("a bimodule over a 0-dimensional algebra needs its dim")
+            shapes = {(dim, dim)}
+        rows, cols = shapes.pop()
         if rows != cols:
             raise BimoduleError("action matrices must be square")
         if dim is not None and dim != rows:
@@ -213,25 +217,26 @@ def classify_flags(mod: Bimodule) -> dict:
 # constructions
 
 
-def _check_llm(algebra: LeibnizAlgebra, lam) -> None:
-    probe = Bimodule(algebra, lam, [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam])
+def _check_llm(algebra: LeibnizAlgebra, lam, dim: int | None) -> None:
+    zeros = [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam]
+    probe = Bimodule(algebra, lam, zeros, dim)
     if not probe.axiom_report().llm:
         raise BimoduleError(
             f"left action is not a module: LLM fails at {probe.axiom_report().first_failure}"
         )
 
 
-def symmetrize(algebra: LeibnizAlgebra, lam) -> Bimodule:
+def symmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimodule:
     """Left module made into a bimodule with m.x = -x.m; always full."""
-    _check_llm(algebra, lam)
-    return Bimodule(algebra, lam, [-m for m in lam])
+    _check_llm(algebra, lam, dim)
+    return Bimodule(algebra, lam, [-m for m in lam], dim)
 
 
-def antisymmetrize(algebra: LeibnizAlgebra, lam) -> Bimodule:
+def antisymmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimodule:
     """Left module made into a bimodule with trivial right action; always full."""
-    _check_llm(algebra, lam)
+    _check_llm(algebra, lam, dim)
     z = [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam]
-    return Bimodule(algebra, lam, z)
+    return Bimodule(algebra, lam, z, dim)
 
 
 @functools.lru_cache(maxsize=256)
@@ -242,12 +247,12 @@ def sl2_irreducible(algebra: LeibnizAlgebra, n: int, side: str) -> Bimodule:
     (algebra, n, side) while cached; a Bimodule never changes."""
     f = algebra.field
     mats = sl2_module_matrices(f, n) + [Matrix.zeros(f, n + 1, n + 1)] * (algebra.dim - 3)
-    return (symmetrize if side == "sym" else antisymmetrize)(algebra, mats)
+    return (symmetrize if side == "sym" else antisymmetrize)(algebra, mats, n + 1)
 
 
 def adjoint(algebra: LeibnizAlgebra) -> Bimodule:
     left, right = mult_ops(algebra)
-    return Bimodule(algebra, left, right)
+    return Bimodule(algebra, left, right, algebra.dim)
 
 
 def trivial_bimodule(algebra: LeibnizAlgebra, dim: int = 1) -> Bimodule:

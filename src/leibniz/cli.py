@@ -106,7 +106,7 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
         vals = _parse_scalars(field, rest)
         if len(vals) != algebra.dim:
             raise CliError(f"{kind}: expected {algebra.dim} functional values")
-        return build(algebra, [Matrix(field, [[v]]) for v in vals])
+        return build(algebra, [Matrix(field, [[v]]) for v in vals], 1)
     if kind == "onedim":
         try:
             a_text, c_text = rest.split(";")

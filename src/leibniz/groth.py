@@ -514,7 +514,7 @@ class ClassRegistry:
         for p, x in zip(span.pivots, span.basis.apply(values)):
             values[p] = f.neg(x)
         build = symmetrize if label.kind == "sym" else antisymmetrize
-        return build(self.algebra, [Matrix(f, [[v]]) for v in values])
+        return build(self.algebra, [Matrix(f, [[v]]) for v in values], 1)
 
 
 def class_of_bimodule(mod, registry: ClassRegistry, seed: int = 0) -> GrElement:

@@ -38,8 +38,7 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
         self.field = field
-        coerce = field.coerce
-        self.rows = tuple([tuple(map(coerce, r)) for r in rows])
+        self.rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -80,15 +79,28 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+        f = self.field
+        self._same_shape(other)
+        return Matrix(
+            f,
+            [
+                [f.add(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.rows, other.rows)
+            ],
+            self.ncols,
+        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
-
-    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        f = self.field
         self._same_shape(other)
-        rows = [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        return Matrix(self.field, rows, self.ncols)
+        return Matrix(
+            f,
+            [
+                [f.sub(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.rows, other.rows)
+            ],
+            self.ncols,
+        )
 
     def __neg__(self) -> "Matrix":
         f = self.field

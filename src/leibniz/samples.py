@@ -93,9 +93,9 @@ def random_full_bimodule(
         lam = random_left_module_matrices(alg, size, rng)
         kind = rng.random()
         if kind < 0.42:
-            blocks.append(symmetrize(alg, lam))
+            blocks.append(symmetrize(alg, lam, size))
         elif kind < 0.84:
-            blocks.append(antisymmetrize(alg, lam))
+            blocks.append(antisymmetrize(alg, lam, size))
         else:
             blocks.append(trivial_bimodule(alg, size))
         remaining -= size

@@ -372,6 +372,16 @@ class TestSerialization:
         again = Bimodule.from_json(mod.to_json())
         assert again.dim == dim and again == mod
 
+    def test_zero_dim_algebra_needs_declared_dim(self):
+        alg = make_abelian(QQ, 0)
+        with pytest.raises(BimoduleError, match="needs its dim"):
+            Bimodule(alg, [], [])
+        assert adjoint(alg).dim == 0
+        assert symmetrize(alg, [], 1).dim == 1
+        assert antisymmetrize(alg, [], 2).dim == 2
+        with pytest.raises(BimoduleError, match="needs its dim"):
+            symmetrize(alg, [])
+
     def test_declared_dim_must_be_a_size(self):
         import json
 

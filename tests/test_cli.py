@@ -244,6 +244,11 @@ class TestGrRules:
         u = GrElement({UNIT: 1})
         assert case["expected"] == case["bar"] == case["under"] == u
 
+    @pytest.mark.parametrize("spec", ["sym:", "anti:", "trivial:1"])
+    def test_one_dim_module_over_zero_dim_algebra(self, capsys, spec):
+        code, out, _ = run(capsys, "bimodule", "--example", "abelian:0", "--module", spec)
+        assert code == 0 and "dim: 1" in out
+
     def test_gr_verify_window_of_weight_rule(self, capsys):
         code, out, _ = run(capsys, "gr", "verify", "--rule", "weight:2", "--max", "1", "--json")
         assert code == 0

@@ -14,6 +14,7 @@ g x M with product (x, m)(y, n) = (xy, x.n).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -25,10 +26,31 @@ class AlgebraError(ValueError):
     pass
 
 
+def _memo(fn):
+    """Compute ``fn(obj)`` once per immutable instance, kept in its
+    ``_derived`` dict; an error is not kept.  The body is read from
+    ``__wrapped__`` at call time, so a test can count computations."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def once(obj):
+        derived = obj._derived
+        if key not in derived:
+            derived[key] = once.__wrapped__(obj)
+        return derived[key]
+
+    return once
+
+
 class LeibnizAlgebra:
-    """Structure-constant algebra over an exact field; immutable."""
+    """Structure-constant algebra over an exact field; immutable.
+
+    Derived data (Leibniz kernel, Lie quotient, product span and series)
+    is computed once per instance and memoized on it.
+    """
 
     def __init__(self, field: Field, basis_names, table, check: bool = True):
+        self._derived: dict = {}
         self.field = field
         self.dim = len(basis_names)
         self.basis_names = tuple(basis_names)
@@ -192,6 +214,7 @@ def mult_ops(alg: LeibnizAlgebra):
     return left, right
 
 
+@_memo
 def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
     """Span of all squares; computed from the polarized generating set
     {b_i^2} and {b_i b_j + b_j b_i : i < j}, which equals span{x^2} over
@@ -248,6 +271,7 @@ def is_lie(alg: LeibnizAlgebra):
     return None
 
 
+@_memo
 def canonical_lie(alg: LeibnizAlgebra):
     """Quotient by the span of squares, plus the projection morphism."""
     f = alg.field
@@ -264,6 +288,7 @@ def canonical_lie(alg: LeibnizAlgebra):
     return quot, AlgebraMorphismData(alg, quot, proj)
 
 
+@_memo
 def products_and_series(alg: LeibnizAlgebra) -> dict:
     """Product span, perfectness, derived series dims, solvability."""
     f = alg.field
@@ -277,20 +302,11 @@ def products_and_series(alg: LeibnizAlgebra) -> dict:
                 vecs.append(alg.product(u, v))
         return Subspace.span(f, n, vecs)
 
-    full = Subspace.full(f, n)
-    product_span = span_of_products(full)
-    series = [full]
-    dims = [n]
-    while True:
-        nxt = span_of_products(series[-1])
-        if nxt.dim == series[-1].dim:
-            series.append(nxt)
-            dims.append(nxt.dim)
-            break
-        series.append(nxt)
-        dims.append(nxt.dim)
-        if nxt.dim == 0:
-            break
+    product_span = span_of_products(Subspace.full(f, n))
+    last, dims = product_span, [n, product_span.dim]
+    while last.dim not in (0, dims[-2]):
+        last = span_of_products(last)
+        dims.append(last.dim)
     return {
         "product_span": product_span,
         "is_perfect": product_span.dim == n,

@@ -20,7 +20,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, expand_product, mult_ops, sl2_module_matrices
+from .algebra import LeibnizAlgebra, _memo, expand_product, mult_ops, sl2_module_matrices
 from .fields import Field
 from .linalg import Matrix, Subspace, induced_on_quotient, invert, nullspace
 
@@ -48,10 +48,13 @@ class Bimodule:
     """Matrix realization of a two-sided module; immutable after creation.
 
     ``dim`` is required only when the algebra has no basis, so that there
-    are no action matrices to read it off.
+    are no action matrices to read it off.  Derived data (the axiom report,
+    the kernels and invariants) is computed once per instance and memoized
+    on it.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, lam, rho, dim: int | None = None):
+        self._derived: dict = {}
         self.algebra = algebra
         self.lam = tuple(lam)
         self.rho = tuple(rho)
@@ -70,28 +73,24 @@ class Bimodule:
         if dim is not None and dim != rows:
             raise BimoduleError(f"declared dim {dim} disagrees with {rows} x {rows} matrices")
         self.dim = rows
-        self._report: AxiomReport | None = None
 
     @property
     def field(self) -> Field:
         return self.algebra.field
 
+    @_memo
     def axiom_report(self) -> AxiomReport:
-        if self._report is None:
-            self._report = axiom_report(self)
-        return self._report
+        return axiom_report(self)
 
     @property
     def kind(self) -> str:
         return self.axiom_report().kind
 
     def is_weak(self) -> bool:
-        r = self.axiom_report()
-        return r.llm and r.lml
+        return self.kind in ("weak", "full")
 
     def is_full(self) -> bool:
-        r = self.axiom_report()
-        return r.llm and r.lml and r.mll
+        return self.kind == "full"
 
     def __eq__(self, other):
         return (
@@ -184,6 +183,8 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
         if first is None:
             first = (name, i, j)
 
+    # each product below is formed at most once per pair, and only while an
+    # axiom that reads it still holds
     for i in range(n):
         for j in range(n):
             li, lj = mod.lam[i], mod.lam[j]
@@ -191,13 +192,20 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
             if llm and expand_product(alg, i, j, mod.lam) != li * lj - lj * li:
                 llm = False
                 fail("llm", i, j)
-            if lml and expand_product(alg, i, j, mod.rho) != li * rj - rj * li:
+            if lml or mll:
+                rho_ij = expand_product(alg, i, j, mod.rho)
+                li_rj = li * rj
+            if lml or zd:
+                rj_li = rj * li
+            if mll or zd:
+                rj_ri = rj * ri
+            if lml and rho_ij != li_rj - rj_li:
                 lml = False
                 fail("lml", i, j)
-            if mll and rj * ri != expand_product(alg, i, j, mod.rho) - li * rj:
+            if mll and rj_ri != rho_ij - li_rj:
                 mll = False
                 fail("mll", i, j)
-            if zd and not (rj * (li + ri)).is_zero():
+            if zd and not (rj_li + rj_ri).is_zero():
                 zd = False
                 fail("zd", i, j)
     return AxiomReport(llm=llm, lml=lml, mll=mll, zd=zd, first_failure=first)
@@ -217,26 +225,24 @@ def classify_flags(mod: Bimodule) -> dict:
 # constructions
 
 
-def _check_llm(algebra: LeibnizAlgebra, lam, dim: int | None) -> None:
-    zeros = [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam]
-    probe = Bimodule(algebra, lam, zeros, dim)
-    if not probe.axiom_report().llm:
-        raise BimoduleError(
-            f"left action is not a module: LLM fails at {probe.axiom_report().first_failure}"
-        )
+def _check_llm(mod: Bimodule) -> Bimodule:
+    """``mod`` itself once its left action is a module.  LLM reads only the
+    left action, so the module's own report decides it."""
+    report = mod.axiom_report()
+    if not report.llm:
+        raise BimoduleError(f"left action is not a module: LLM fails at {report.first_failure}")
+    return mod
 
 
 def symmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimodule:
     """Left module made into a bimodule with m.x = -x.m; always full."""
-    _check_llm(algebra, lam, dim)
-    return Bimodule(algebra, lam, [-m for m in lam], dim)
+    return _check_llm(Bimodule(algebra, lam, [-m for m in lam], dim))
 
 
 def antisymmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimodule:
     """Left module made into a bimodule with trivial right action; always full."""
-    _check_llm(algebra, lam, dim)
     z = [Matrix.zeros(algebra.field, m.nrows, m.nrows) for m in lam]
-    return Bimodule(algebra, lam, z, dim)
+    return _check_llm(Bimodule(algebra, lam, z, dim))
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,6 +332,7 @@ def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
     )
 
 
+@_memo
 def kernels_and_invariants(mod: Bimodule) -> dict:
     """The four canonical subspaces together with invariance flags.
 
@@ -459,14 +466,8 @@ def duality_morphism_checks(mod: Bimodule) -> dict:
     f = mod.field
     d = mod.dim
     if d == 0:
-        return {
-            "ev": True,
-            "ev_prime": True,
-            "coev": True,
-            "coev_prime": True,
-            "double_dual": True,
-            "contraction_scalar": True,
-        }
+        names = ("ev", "ev_prime", "coev", "coev_prime", "double_dual", "contraction_scalar")
+        return dict.fromkeys(names, True)
     dmod = dual(mod)
     triv = trivial_bimodule(mod.algebra, 1)
     z, o = f.zero(), f.one()
@@ -493,6 +494,6 @@ def duality_morphism_checks(mod: Bimodule) -> dict:
     checks["double_dual"] = BimoduleHomCandidate(
         mod, ddual, Matrix.identity(f, d)
     ).intertwines()
-    scalar = (ev * coev_col).rows[0][0] if d else f.zero()
+    scalar = (ev * coev_col).rows[0][0]
     checks["contraction_scalar"] = scalar == f.from_int(d)
     return checks

@@ -143,9 +143,7 @@ def common_eigenvector(mats, field, ambient: int):
         return None
 
     space = search(Subspace.full(field, ambient), 0)
-    if space is None or space.dim == 0:
-        return None
-    return space.basis_vectors()[0]
+    return None if space is None else space.basis_vectors()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +255,6 @@ def _random_elements(mod: Bimodule, rng: random.Random, count: int):
 def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
     field = mod.field
     d = mod.dim
-    if d == 0:
-        return [], True
     if d == 1:
         return [factor_info(mod, certified=True)], True
 

@@ -90,6 +90,13 @@ def _parse_scalars(field, text: str):
     return [field.parse(tok) for tok in text.split(",") if tok != ""]
 
 
+def _spec_size(spec: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"module spec {spec!r} needs an integer size, not {text!r}") from None
+
+
 def resolve_bimodule(spec: str, algebra) -> Bimodule:
     """Module specs: adjoint | trivial:<d> | sym:<vals> | anti:<vals> |
     sym:L<n> / anti:L<n> (sl2 highest weight) | onedim:<a>;<c> | file:<path>."""
@@ -98,11 +105,11 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
         return adjoint(algebra)
     kind, _, rest = spec.partition(":")
     if kind == "trivial":
-        return trivial_bimodule(algebra, int(rest or "1"))
+        return trivial_bimodule(algebra, _spec_size(spec, rest or "1"))
     if kind in ("sym", "anti"):
         build = symmetrize if kind == "sym" else antisymmetrize
         if rest.startswith("L"):
-            return sl2_irreducible(algebra, int(rest[1:]), kind)
+            return sl2_irreducible(algebra, _spec_size(spec, rest[1:]), kind)
         vals = _parse_scalars(field, rest)
         if len(vals) != algebra.dim:
             raise CliError(f"{kind}: expected {algebra.dim} functional values")
@@ -531,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trunc_report)
 
     p = sub.add_parser("chop", help="composition series of a bimodule")
-    common(p, modules=True)
+    common(p)
+    p.add_argument("--left", help="module spec (default adjoint)")
     p.add_argument("--seed", type=int, default=default_seed())
     p.set_defaults(fn=cmd_chop)
 

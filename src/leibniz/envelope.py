@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, canonical_lie
+from .algebra import LeibnizAlgebra, canonical_lie, leibniz_kernel
 from .bimodule import Bimodule, BimoduleError
-from .linalg import RowReducer, unit_vector
+from .linalg import RowReducer
 
 
 class EnvelopeError(ValueError):
@@ -80,7 +80,7 @@ class PresentedAlgebra:
     """Free algebra modulo lead-degree-2 relations, sliced by word length."""
 
     def __init__(self, field, gen_names, relations, cutoff: int = 3, which: str = "free",
-                 algebra: LeibnizAlgebra | None = None, lie_data=None):
+                 algebra: LeibnizAlgebra | None = None):
         if cutoff < 2:
             raise EnvelopeError("cutoff must be at least 2")
         self.field = field
@@ -89,7 +89,6 @@ class PresentedAlgebra:
         self.cutoff = cutoff
         self.which = which
         self.algebra = algebra
-        self.lie_data = lie_data  # (quotient algebra, projection morphism) for envelopes
         for rel in self.relations:
             if poly_degree(rel) > 2:
                 raise EnvelopeError("relations must have degree at most 2")
@@ -233,26 +232,21 @@ def build_presentation(alg: LeibnizAlgebra, which: str, cutoff: int = 3) -> Pres
     """Presentations: ``ul`` (full), ``ulweak`` (no zero-divisor family),
     ``ulie`` (enveloping algebra of the canonical Lie quotient)."""
     f = alg.field
-    lie = canonical_lie(alg)
     if which in ("ul", "ulweak"):
         names = [f"l_{nm}" for nm in alg.basis_names] + [
             f"r_{nm}" for nm in alg.basis_names
         ]
         rels = _envelope_relations(alg, include_zd=(which == "ul"))
-        return PresentedAlgebra(
-            f, names, rels, cutoff, which, algebra=alg, lie_data=lie
-        )
+        return PresentedAlgebra(f, names, rels, cutoff, which, algebra=alg)
     if which == "ulie":
-        quot, _ = lie
+        quot, _ = canonical_lie(alg)
         names = [f"x_{nm}" for nm in quot.basis_names]
         rels = [
             _bracket_relation(f, (i,), (j,), quot.table[i][j], lambda k: (k,))
             for i in range(quot.dim)
             for j in range(quot.dim)
         ]
-        return PresentedAlgebra(
-            f, names, rels, cutoff, which, algebra=alg, lie_data=lie
-        )
+        return PresentedAlgebra(f, names, rels, cutoff, which, algebra=alg)
     raise EnvelopeError(f"unknown presentation kind {which!r}")
 
 
@@ -300,21 +294,17 @@ class AlgebraHom:
         return True
 
 
-def _lie_generator_images(alg: LeibnizAlgebra, lie_pres: PresentedAlgebra):
+def _lie_generator_images(alg: LeibnizAlgebra):
     """Image polynomials of the original basis in the Lie presentation."""
-    quot, morph = lie_pres.lie_data
     f = alg.field
-    out = []
-    for i in range(alg.dim):
-        col = morph.matrix.apply(unit_vector(f, alg.dim, i))
-        out.append({(k,): c for k, c in enumerate(col) if c != f.zero()})
-    return out
+    cols = canonical_lie(alg)[1].matrix.columns()
+    return [{(k,): c for k, c in enumerate(col) if c != f.zero()} for col in cols]
 
 
 def hom_d0(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:
     """l_x -> image of x, r_x -> 0."""
     alg = ul.algebra
-    bars = _lie_generator_images(alg, ulie)
+    bars = _lie_generator_images(alg)
     images = list(bars) + [{} for _ in range(alg.dim)]
     return AlgebraHom(ul, ulie, images, name="d0")
 
@@ -323,23 +313,16 @@ def hom_d1(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:
     """l_x -> image of x, r_x -> minus the image of x."""
     alg = ul.algebra
     f = alg.field
-    bars = _lie_generator_images(alg, ulie)
+    bars = _lie_generator_images(alg)
     negs = [poly_scale(f, f.neg(f.one()), b) for b in bars]
     return AlgebraHom(ul, ulie, list(bars) + negs, name="d1")
 
 
 def hom_s0(ulie: PresentedAlgebra, ul: PresentedAlgebra) -> AlgebraHom:
-    """Section: the class of x -> l_(representative of x)."""
-    alg = ul.algebra
-    quot, _ = ulie.lie_data
-    from .algebra import leibniz_kernel
-
-    ker = leibniz_kernel(alg)
-    reps = ker.complement_coords()
-    if len(reps) != quot.dim:
-        raise EnvelopeError("quotient dimension mismatch")
-    f = alg.field
-    images = [{(reps[j],): f.one()} for j in range(quot.dim)]
+    """Section: the class of x -> l_(representative of x).  The Lie
+    quotient's basis is the complement coordinates of the Leibniz kernel."""
+    reps = leibniz_kernel(ul.algebra).complement_coords()
+    images = [{(r,): ul.field.one()} for r in reps]
     return AlgebraHom(ulie, ul, images, name="s0")
 
 

@@ -21,7 +21,6 @@ random integer combinations; verdicts carry explicit counterexamples.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import random
 import re
@@ -29,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from .algebra import products_and_series
 from .fields import Field
 
 
@@ -475,10 +475,8 @@ class ClassRegistry:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @functools.cached_property
+    @property
     def product_span(self):
-        from .algebra import products_and_series
-
         return products_and_series(self.algebra)["product_span"]
 
     def rule(self) -> FusionRule:

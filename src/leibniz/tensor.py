@@ -115,27 +115,18 @@ def defect_closure(tensor: Bimodule, a: Bimodule, b: Bimodule) -> Subspace:
 
 def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T0(M, N) of the under truncation; needs full factors."""
-    return _coarse_kernel(a, b)[0]
-
-
-def _coarse_kernel(a: Bimodule, b: Bimodule) -> tuple:
-    """T0(M, N) together with the kernel data of M and of N."""
     if not (a.is_full() and b.is_full()):
         raise BimoduleError("coarse truncation data needs full bimodules")
     ambient = a.dim * b.dim
     ka = kernels_and_invariants(a)
     kb = kernels_and_invariants(b)
-    t0 = tensor_of_subspaces(ka["M0"], kb["MR"], ambient).sum(
+    return tensor_of_subspaces(ka["M0"], kb["MR"], ambient).sum(
         tensor_of_subspaces(ka["MR"], kb["M0"], ambient)
     )
-    return t0, ka, kb
 
 
 def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:
-    return _truncation_data(a, b, coarse_kernel(a, b))
-
-
-def _truncation_data(a: Bimodule, b: Bimodule, t0: Subspace) -> TruncationData:
+    t0 = coarse_kernel(a, b)
     s = mll_defect_span(a, b)
     t = subbimodule_closure(tensor_bimodule(a, b), s.basis_vectors())
     contained = t.contains_subspace(s) and t0.contains_subspace(t)
@@ -163,8 +154,9 @@ def truncation_collapse_check(a: Bimodule, b: Bimodule) -> dict:
          flags_b["symmetric"], flags_b["anti_symmetric"])
     ):
         raise BimoduleError("no symmetric or anti-symmetric factor: inapplicable")
-    t0, ka, kb = _coarse_kernel(a, b)
-    data = _truncation_data(a, b, t0)
+    data = truncation_data(a, b)
+    ka = kernels_and_invariants(a)
+    kb = kernels_and_invariants(b)
     ambient = a.dim * b.dim
     cases = {}
     if flags_a["symmetric"]:

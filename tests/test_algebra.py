@@ -160,6 +160,30 @@ class TestCanonicalLie:
                 )
                 assert all(x == 0 for x in morph.matrix.apply(sq))
 
+    def test_computed_once_per_instance(self, monkeypatch):
+        computed = []
+        body = canonical_lie.__wrapped__
+        monkeypatch.setattr(
+            canonical_lie, "__wrapped__", lambda alg: computed.append(alg) or body(alg)
+        )
+        a, b = make_S(QQ), make_S(QQ)
+        assert a == b and a is not b
+        qa, qb = canonical_lie(a), canonical_lie(b)
+        assert canonical_lie(a) is qa
+        assert [id(x) for x in computed] == [id(a), id(b)]
+        assert qa[0] == qb[0] and qa[1].matrix == qb[1].matrix
+
+    def test_failed_quotient_raises_at_every_call(self):
+        # antisymmetric, so no squares, but [[a,b],c] + ... = b breaks Jacobi
+        z, o = QQ.zero(), QQ.one()
+        table = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+        table[0][1], table[1][0] = [o, z, z], [-o, z, z]
+        table[0][2], table[2][0] = [z, o, z], [z, -o, z]
+        alg = LeibnizAlgebra(QQ, ["a", "b", "c"], table, check=False)
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                canonical_lie(alg)
+
 
 class TestSeries:
     def test_simple_is_perfect_not_solvable(self):

@@ -27,10 +27,68 @@ from leibniz.bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, Subspace
+from leibniz.linalg import Matrix, Subspace, unit_vector, vec_add
 from leibniz.samples import random_weak_bimodule
 
 F5 = FF(5)
+
+
+def reference_report(mod):
+    """Axiom flags and first failure of ``mod``, read off the actions on
+    unit vectors: no matrix product and no operator expansion."""
+    alg, f, m = mod.algebra, mod.field, mod.dim
+    units = [unit_vector(f, m, k) for k in range(m)]
+
+    def sub(u, w):
+        return vec_add(f, u, tuple(f.neg(x) for x in w))
+
+    def expanded(i, j, mats, v):
+        out = (f.zero(),) * m
+        for c, mat in zip(alg.table[i][j], mats):
+            out = vec_add(f, out, tuple(f.mul(c, x) for x in mat.apply(v)))
+        return out
+
+    def law(i, j, name, v):
+        li, lj, ri, rj = mod.lam[i], mod.lam[j], mod.rho[i], mod.rho[j]
+        if name == "llm":
+            return expanded(i, j, mod.lam, v) == sub(li.apply(lj.apply(v)), lj.apply(li.apply(v)))
+        if name == "lml":
+            return expanded(i, j, mod.rho, v) == sub(li.apply(rj.apply(v)), rj.apply(li.apply(v)))
+        if name == "mll":
+            return rj.apply(ri.apply(v)) == sub(expanded(i, j, mod.rho, v), li.apply(rj.apply(v)))
+        return all(x == f.zero() for x in rj.apply(vec_add(f, li.apply(v), ri.apply(v))))
+
+    flags = {"llm": True, "lml": True, "mll": True, "zd": True}
+    first = None
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for name in flags:
+                if flags[name] and not all(law(i, j, name, v) for v in units):
+                    flags[name] = False
+                    first = first or (name, i, j)
+    return flags, first
+
+
+def random_families(field, rng):
+    """Matrix families over ``field``: random pairs, genuine left modules
+    with a random right action, and every 1-dim family over F_3 of A."""
+    algebras = [make_A(field), make_N(field), make_sl2(field)]
+
+    def rand(d):
+        return Matrix(field, [[field.from_int(rng.randint(-1, 1)) for _ in range(d)] for _ in range(d)])
+
+    for _ in range(40):
+        alg = rng.choice(algebras)
+        d = rng.randint(1, 2)
+        yield Bimodule(alg, [rand(d) for _ in range(alg.dim)], [rand(d) for _ in range(alg.dim)])
+        lam = adjoint(alg).lam
+        yield Bimodule(alg, lam, [rand(alg.dim) for _ in range(alg.dim)])
+        yield Bimodule(alg, lam, [rng.choice((-m, Matrix.zeros(field, *m.shape), m)) for m in lam])
+    if field.characteristic == 3:
+        alg = make_A(field)
+        for a in range(9):
+            for c in range(9):
+                yield one_dim_bimodule(alg, [a // 3, a % 3], [c // 3, c % 3])
 
 
 class TestAxiomReport:
@@ -83,6 +141,20 @@ class TestAxiomReport:
         with pytest.raises(BimoduleError):
             Bimodule(alg, [Matrix.identity(QQ, 2)], [Matrix.identity(QQ, 2)])
 
+    @pytest.mark.parametrize("field", [FF(3), QQ], ids=["F3", "Q"])
+    def test_matches_elementwise_reference(self, field):
+        firsts, weak_not_full = set(), 0
+        for mod in random_families(field, random.Random(7)):
+            rep = mod.axiom_report()
+            flags, first = reference_report(mod)
+            assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
+            assert rep.first_failure == first
+            firsts.add(first and first[0])
+            weak_not_full += rep.kind == "weak"
+        # LML makes MLL and ZD agree pair by pair, so ZD never fails first
+        assert firsts == {None, "llm", "lml", "mll"}
+        assert weak_not_full > 0
+
 
 class TestClassifyAndSymmetrize:
     def test_negative_trivial_dim_rejected(self):
@@ -111,8 +183,31 @@ class TestClassifyAndSymmetrize:
     def test_symmetrize_rejects_non_module(self):
         alg = make_A(QQ)
         bad = [Matrix(QQ, [[1]]), Matrix(QQ, [[1]])]  # second gen must act by 0
-        with pytest.raises(BimoduleError):
-            symmetrize(alg, bad)
+        for build in (symmetrize, antisymmetrize):
+            with pytest.raises(BimoduleError, match=r"LLM fails at \('llm', 0, 1\)"):
+                build(alg, bad)
+
+    def test_one_axiom_report_per_built_module(self, monkeypatch):
+        import leibniz.bimodule as bimodule_mod
+        from leibniz.algebra import sl2_module_matrices
+
+        reported = []
+        report = bimodule_mod.axiom_report
+        monkeypatch.setattr(
+            bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod)
+        )
+        sl2 = make_sl2(QQ)
+        for build in (symmetrize, antisymmetrize):
+            reported.clear()
+            mod = build(sl2, sl2_module_matrices(QQ, 2))
+            assert mod.is_full() and mod.kind == "full"
+            assert len(reported) == 1 and reported[0] is mod
+
+    def test_kernel_data_error_raised_at_every_call(self):
+        mod = one_dim_bimodule(make_A(QQ), [0, 1], [0, 0])  # LLM fails
+        for _ in range(2):
+            with pytest.raises(BimoduleError, match="weak"):
+                kernels_and_invariants(mod)
 
     def test_adjoint_neither_sym_nor_anti(self):
         flags = classify_flags(adjoint(make_A(QQ)))

@@ -177,6 +177,13 @@ class TestWorkedExamples:
         doc = json.loads(out)
         assert doc["certified"] and doc["factors"][0]["dim"] == 2
 
+    def test_chop_takes_no_right_module(self, capsys):
+        # chop reads one module, so a --right would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["chop", "--example", "sl2", "--right", "sym:L3"])
+        assert exc.value.code == 2
+        assert "--right" in capsys.readouterr().err
+
     def test_gr_props_sl2_failures(self, capsys):
         code, out, _ = run(
             capsys,
@@ -349,6 +356,13 @@ class TestOneLineErrors:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err == f"error: bad scalar 'x' for field {field}\n"
+
+    @pytest.mark.parametrize("spec", ["trivial:x", "sym:Lx", "sym:L"])
+    def test_non_integer_module_size(self, capsys, spec):
+        code, _, err = run(capsys, "bimodule", "--example", "sl2", "--module", spec)
+        assert code == 1
+        assert err.startswith(f"error: module spec {spec!r} needs an integer size")
+        assert len(err.strip().splitlines()) == 1
 
     def test_malformed_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("LEIBNIZ_SEED", "abc")

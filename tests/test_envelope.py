@@ -199,6 +199,23 @@ class TestHoms:
         out = check_section_identities(make(QQ), 2)
         assert out == {"d0_s0": True, "d1_s0": True, "kernel_product": True}
 
+    def test_lie_quotient_computed_once_per_algebra(self, monkeypatch):
+        from leibniz.algebra import canonical_lie
+
+        computed = []
+        body = canonical_lie.__wrapped__
+        monkeypatch.setattr(
+            canonical_lie, "__wrapped__", lambda alg: computed.append(alg) or body(alg)
+        )
+        alg = make_S(QQ)
+        for which in ("ul", "ulweak", "ulie"):
+            build_presentation(alg, which, 2)
+        assert all(standard_homs(alg, 2)[name].verify() for name in ("d0", "d1", "s0"))
+        assert check_section_identities(alg, 2) == {
+            "d0_s0": True, "d1_s0": True, "kernel_product": True
+        }
+        assert len(computed) == 1 and computed[0] is alg
+
     def test_kernel_products_fail_in_weak(self):
         weak = build_presentation(make_e(QQ), "ulweak", 2)
         assert not kernel_products_vanish(weak)

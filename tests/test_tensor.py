@@ -204,18 +204,18 @@ class TestTruncationCollapse:
         assert out["data"].t.dim == 0
 
     def test_kernel_data_once_per_factor(self, monkeypatch):
-        import leibniz.tensor as tensor_mod
+        from leibniz.bimodule import kernels_and_invariants
 
-        calls = []
-        kernels = tensor_mod.kernels_and_invariants
+        computed = []
+        body = kernels_and_invariants.__wrapped__
         monkeypatch.setattr(
-            tensor_mod,
-            "kernels_and_invariants",
-            lambda mod: calls.append(mod) or kernels(mod),
+            kernels_and_invariants,
+            "__wrapped__",
+            lambda mod: computed.append(mod) or body(mod),
         )
         alg = make_A(QQ)
         out = truncation_collapse_check(trivial_bimodule(alg, 1), adjoint(alg))
-        assert len(calls) == 2
+        assert len(computed) == 2
         assert out["cases"] == {"left_symmetric": True, "left_anti_symmetric": True}
         assert out["all_hold"]
 

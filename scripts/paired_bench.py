@@ -11,7 +11,9 @@ change wins::
     python3 scripts/paired_bench.py --parent ../parent --pr <number>
 
 Each side runs its own ``perfbench/``.  This script never imports
-``leibniz``.
+``leibniz``.  A run that reports an incorrect output or a failed operation
+stops it with exit 1 and one line naming the side, pair and workload, and
+no BENCH file is written.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ def main(argv=None) -> int:
                 line = {"pair": pair, "side": side, "first": side == order[0],
                         "seed": SEED, "workload": workload, **run_once(sides[side], workload)}
                 print(json.dumps(line), flush=True)
+                if not line["correct"] or line["failed"]:
+                    raise SystemExit(f"error: {side} run of pair {pair} on {workload}: correct "
+                                     f"{line['correct']}, {line['failed']} failed operations")
                 runs.append(line)
     doc = {"command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
            "parent": commit(sides["parent"]), "change": "working tree of " + commit(ROOT),

@@ -79,16 +79,15 @@ class LeibnizAlgebra:
         f = self.field
         out = [f.zero()] * self.dim
         for i, a in enumerate(u):
-            if a == f.zero():
+            if not a:
                 continue
             for j, b in enumerate(v):
-                if b == f.zero():
+                if not b:
                     continue
                 ab = f.mul(a, b)
-                cell = self.table[i][j]
-                for k in range(self.dim):
-                    if cell[k] != f.zero():
-                        out[k] = f.add(out[k], f.mul(ab, cell[k]))
+                for k, c in enumerate(self.table[i][j]):
+                    if c:
+                        out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
     def index(self, name: str) -> int:
@@ -177,13 +176,12 @@ def validate_left_leibniz(alg: LeibnizAlgebra):
     pair (i, j); k is the first coordinate where the identity breaks.
     """
     left, _ = mult_ops(alg)
-    f = alg.field
     n = alg.dim
     for i in range(n):
         for j in range(n):
             diff = expand_product(alg, i, j, left) - commutator(left[i], left[j])
             for k in range(n):
-                if any(diff.rows[k][col] != f.zero() for col in range(n)):
+                if any(diff.rows[k]):
                     return (i, j, k)
     return None
 
@@ -191,10 +189,9 @@ def validate_left_leibniz(alg: LeibnizAlgebra):
 def expand_product(alg: LeibnizAlgebra, i: int, j: int, mats) -> Matrix:
     """sum_k c_ij^k mats[k]: the operator of b_i b_j in the representation
     that sends each basis element b_k to ``mats[k]``."""
-    f = alg.field
-    acc = Matrix.zeros(f, *mats[0].shape)
+    acc = Matrix.zeros(alg.field, *mats[0].shape)
     for c, m in zip(alg.table[i][j], mats):
-        if c != f.zero():
+        if c:
             acc = acc + m.scale(c)
     return acc
 
@@ -251,7 +248,7 @@ def is_lie(alg: LeibnizAlgebra):
     for i in range(n):
         for j in range(n):
             s = vec_add(f, alg.table[i][j], alg.table[j][i])
-            if any(x != f.zero() for x in s):
+            if any(s):
                 return ("antisymmetry", i, j)
     for i in range(n):
         for j in range(n):
@@ -266,7 +263,7 @@ def is_lie(alg: LeibnizAlgebra):
                     ),
                     alg.product(alg.product(ek, ei), ej),
                 )
-                if any(x != f.zero() for x in jac):
+                if any(jac):
                     return ("jacobi", i, j, k)
     return None
 

@@ -228,7 +228,7 @@ def _all_lines(field, dim: int):
 
 def _proper_spin(mod: Bimodule, vectors) -> Subspace | None:
     for v in vectors:
-        if all(x == mod.field.zero() for x in v):
+        if not any(v):
             continue
         space = subbimodule_closure(mod, [v])
         if 0 < space.dim < mod.dim:

@@ -44,11 +44,11 @@ NCPoly = dict  # Word -> scalar
 
 def _accumulate(field, out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum is zero."""
-    s = field.add(out.get(key, field.zero()), c)
-    if s == field.zero():
-        out.pop(key, None)
-    else:
+    s = field.add(out[key], c) if key in out else c
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def poly_add(field, a: NCPoly, b: NCPoly) -> NCPoly:
@@ -59,7 +59,7 @@ def poly_add(field, a: NCPoly, b: NCPoly) -> NCPoly:
 
 
 def poly_scale(field, c, a: NCPoly) -> NCPoly:
-    if c == field.zero():
+    if not c:
         return {}
     return {w: field.mul(c, x) for w, x in a.items()}
 
@@ -203,7 +203,7 @@ def _bracket_relation(field, a: Word, b: Word, cell, gen) -> NCPoly:
     _accumulate(field, rel, a + b, field.one())
     _accumulate(field, rel, b + a, field.neg(field.one()))
     for k, c in enumerate(cell):
-        if c != field.zero():
+        if c:
             _accumulate(field, rel, gen(k), field.neg(c))
     return rel
 
@@ -296,9 +296,8 @@ class AlgebraHom:
 
 def _lie_generator_images(alg: LeibnizAlgebra):
     """Image polynomials of the original basis in the Lie presentation."""
-    f = alg.field
     cols = canonical_lie(alg)[1].matrix.columns()
-    return [{(k,): c for k, c in enumerate(col) if c != f.zero()} for col in cols]
+    return [{(k,): c for k, c in enumerate(col) if c} for col in cols]
 
 
 def hom_d0(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:

@@ -1,9 +1,12 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over Q (always in
-lowest terms with positive denominator) and ints in ``[0, p)`` over F_p.
-All arithmetic is routed through a field object so that matrix code never
-has to branch on the field kind.
+Scalars are plain Python values, the field's native scalars:
+``fractions.Fraction`` over Q (always in lowest terms with positive
+denominator) and ints in ``[0, p)`` over F_p.  The ``linalg`` kernel works
+on them with Python operators, tests zero by truthiness and ends each entry
+with one ``% p`` in characteristic p; it calls ``coerce`` only on values
+that enter through its public boundary.  The ``Field`` methods serve
+parsing, formatting, inversion and code outside the kernel.
 
 Serialization: rationals print as ``a/b`` (gcd(a,b)=1, b>0, just ``a`` when
 b=1); prime-field residues print as their decimal value.
@@ -65,9 +68,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
     def parse(self, text: str):
         """A scalar from ``a`` or ``a/b`` with integers a, b."""
         num, slash, den = text.strip().partition("/")
@@ -75,7 +75,7 @@ class Field:
             num, den = int(num), int(den) if slash else 1
         except ValueError:
             raise FieldError(f"bad scalar {text!r} for field {self.spec}") from None
-        if self.is_zero(self.from_int(den)):
+        if not self.from_int(den):
             raise FieldError(f"zero denominator in {text!r} for field {self.spec}")
         return self.div(self.from_int(num), self.from_int(den))
 

@@ -244,11 +244,12 @@ class FusionRule:
 
 
 def gr_mul(rule: FusionRule, a: GrElement, b: GrElement) -> GrElement:
-    out = GrElement.zero()
+    out: dict = {}
     for la, ca in a.terms.items():
         for lb, cb in b.terms.items():
-            out = out + rule.mul(la, lb).scale(ca * cb)
-    return out
+            for l, c in rule.mul(la, lb).terms.items():
+                out[l] = out.get(l, 0) + ca * cb * c
+    return GrElement(out)
 
 
 def star_product(a: BaseRing, b: BaseRing) -> FusionRule:

@@ -8,6 +8,13 @@ space always produce equal ``Subspace`` objects.  There is one
 characteristic polynomial, valid in every characteristic; the eigenvalues
 in the field are its roots and the determinant is read off it.
 
+The kernel contract: entries are the field's native scalars (``Fraction``
+over Q, ``int`` in ``[0, p)`` over F_p), and every operation is one loop of
+Python operators that skips zero operands (tested by truthiness) and, in
+characteristic p, ends with one ``% p`` per entry.  Only the public
+boundary coerces: ``Matrix(field, rows)``, ``Matrix.scale`` and the vectors
+given to ``RowReducer``; matrices the kernel builds itself skip it.
+
 The fixed tensor basis convention used throughout the package: the basis
 vector ``u_i (x) w_j`` of ``U (x) W`` has flat index ``i*dim(W) + j``
 (left factor major).  ``Matrix.kron`` realizes operators in exactly these
@@ -26,6 +33,11 @@ from .fields import Field
 
 class LinAlgError(ValueError):
     pass
+
+
+def _mod(p: int, xs: list) -> list:
+    """The kernel's one ``% p`` in characteristic p; over Q (p = 0), ``xs``."""
+    return [x % p for x in xs] if p else xs
 
 
 class Matrix:
@@ -47,15 +59,22 @@ class Matrix:
             if len(r) != ncols:
                 raise LinAlgError("ragged rows")
 
+    @classmethod
+    def _of(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Matrix":
+        """The kernel's constructor: rows of native scalars, taken unchecked."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.ncols = field, tuple(map(tuple, rows)), ncols
+        m.nrows = len(m.rows)
+        return m
+
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return Matrix._of(field, [(field.zero(),) * ncols] * nrows, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_ints(field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -79,101 +98,87 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
         self._same_shape(other)
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+        p = self.field.characteristic
+        rows = [_mod(p, [a + b if a and b else a or b for a, b in zip(r1, r2)])
+                for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._of(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
         self._same_shape(other)
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+        p = self.field.characteristic
+        rows = [_mod(p, [a - b if b else a for a, b in zip(r1, r2)])
+                for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix._of(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
+        c, p, zero = f.coerce(c), f.characteristic, f.zero()
+        rows = [_mod(p, [c * a if a else zero for a in r]) for r in self.rows]
+        return Matrix._of(f, rows, self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        f = self.field
         if self.ncols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} * {other.shape}")
-        cols = other.ncols
-        zero = f.zero()
+        p, zero, cols = self.field.characteristic, self.field.zero(), other.ncols
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
             row = [zero] * cols
-            for k, a in enumerate(r):
-                if a == zero:
-                    continue
-                orow = other.rows[k]
-                for j in range(cols):
-                    b = orow[j]
-                    if b != zero:
-                        row[j] = f.add(row[j], f.mul(a, b))
-            out.append(row)
-        return Matrix(f, out, cols)
+            for a, brow in zip(r, sparse):
+                if a:
+                    for j, b in brow:
+                        row[j] += a * b
+            out.append(_mod(p, row))
+        return Matrix._of(self.field, out, cols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector (given and returned as a flat tuple)."""
-        f = self.field
         if len(vec) != self.ncols:
             raise LinAlgError("vector length mismatch")
-        zero = f.zero()
+        p, zero = self.field.characteristic, self.field.zero()
+        sparse = [(k, x) for k, x in enumerate(vec) if x]
         out = []
         for r in self.rows:
             s = zero
-            for a, x in zip(r, vec):
-                if a != zero and x != zero:
-                    s = f.add(s, f.mul(a, x))
+            for k, x in sparse:
+                a = r[k]
+                if a:
+                    s += a * x
             out.append(s)
-        return tuple(out)
+        return tuple(_mod(p, out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.columns(), self.nrows)
+        return Matrix._of(self.field, self.columns(), self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product in the left-factor-major basis ordering."""
-        f = self.field
-        out = [
-            [f.mul(a, b) for a in arow for b in brow]
-            for arow in self.rows
-            for brow in other.rows
-        ]
-        return Matrix(f, out, self.ncols * other.ncols)
+        p, zero = self.field.characteristic, self.field.zero()
+        zeros = [zero] * other.ncols
+        out = []
+        for arow in self.rows:
+            for brow in other.rows:
+                row = []
+                for a in arow:
+                    row += [a * b if b else zero for b in brow] if a else zeros
+                out.append(_mod(p, row))
+        return Matrix._of(self.field, out, self.ncols * other.ncols)
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
+        return list(zip(*self.rows)) if self.rows else [()] * self.ncols
 
     def trace(self):
-        f = self.field
-        t = f.zero()
-        for i in range(min(self.nrows, self.ncols)):
-            t = f.add(t, self.rows[i][i])
-        return t
+        t = sum((self.rows[i][i] for i in range(min(self.shape))), self.field.zero())
+        return _mod(self.field.characteristic, [t])[0]
 
     @property
     def shape(self):
@@ -225,13 +230,14 @@ class RowReducer:
     def _eliminate(self, v: dict, rows: dict | None = None) -> dict:
         """Subtract from the sparse vector ``v``, in place, each of ``rows``
         (by default the stored rows) whose pivot column it hits, once."""
-        f = self.field
-        sub, mul, zero = f.sub, f.mul, f.zero()
+        p = self.field.characteristic
         rows = self._rows if rows is None else rows
-        for p in [j for j in v if j in rows]:
-            c = v[p]
-            for j, x in rows[p].items():
-                y = sub(v.get(j, zero), mul(c, x))
+        for pivot in [j for j in v if j in rows]:
+            c = -v[pivot]
+            for j, x in rows[pivot].items():
+                y = v[j] + c * x if j in v else c * x
+                if p:
+                    y %= p
                 if y:
                     v[j] = y
                 else:
@@ -264,13 +270,12 @@ class RowReducer:
 
     def insert(self, vec) -> bool:
         """Add ``vec`` to the span; True if the rank grew."""
-        f = self.field
         v = self._eliminate(self._sparse(vec))
         if not v:
             return False
         pivot = min(v)
-        c = f.inv(v[pivot])
-        self._store(pivot, {j: f.mul(c, x) for j, x in v.items()})
+        c, p = self.field.inv(v[pivot]), self.field.characteristic
+        self._store(pivot, dict(zip(v, _mod(p, [c * x for x in v.values()]))))
         return True
 
     def insert_all(self, vecs: Iterable) -> None:
@@ -287,7 +292,7 @@ class RowReducer:
         return [self._dense(self._rows[p]) for p in self.pivots]
 
     def basis(self) -> Matrix:
-        return Matrix(self.field, self.rows, self.width)
+        return Matrix._of(self.field, self.rows, self.width)
 
 
 class Subspace:
@@ -378,7 +383,7 @@ class Subspace:
         red.insert_all(r + (z,) * n for r in other.basis.rows)
         k = bisect.bisect_left(red.pivots, n)
         rows = [row[n:] for row in red.rows[k:]]
-        return Subspace(f, n, Matrix(f, rows, n), tuple(p - n for p in red.pivots[k:]))
+        return Subspace(f, n, Matrix._of(f, rows, n), tuple(p - n for p in red.pivots[k:]))
 
     def complement_coords(self) -> list[int]:
         """Indices of standard basis vectors spanning a complement."""
@@ -408,8 +413,8 @@ def nullspace(m: Matrix) -> Subspace:
         v = [zero] * m.ncols
         v[j] = one
         for row, p in rows:
-            v[p] = f.neg(row[j])
-        basis.append(v)
+            v[p] = -row[j]
+        basis.append(_mod(f.characteristic, v))
     return Subspace.span(f, m.ncols, basis)
 
 
@@ -425,7 +430,7 @@ def induced_on_quotient(m: Matrix, space: Subspace) -> Matrix:
     red = space.reducer()
     keep = space.complement_coords()
     cols = [red.reduce(m.col(j)) for j in keep]
-    return Matrix(m.field, [[c[i] for c in cols] for i in keep], len(keep))
+    return Matrix._of(m.field, [[c[i] for c in cols] for i in keep], len(keep))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -440,7 +445,7 @@ def invert(m: Matrix) -> Matrix:
         red.insert(list(m.rows[i]) + list(ident.rows[i]))
     if red.pivots[:n] != list(range(n)) or red.rank != n:
         raise LinAlgError("matrix is singular")
-    return Matrix(f, [row[n:] for row in red.rows])
+    return Matrix._of(f, [row[n:] for row in red.rows], n)
 
 
 def determinant(m: Matrix):
@@ -460,14 +465,13 @@ def charpoly(m: Matrix) -> list:
     Theory, Alg. 2.2.9).
     """
     f = m.field
-    n = m.nrows
+    n, p, zero, one = m.nrows, f.characteristic, f.zero(), f.one()
     if n != m.ncols:
         raise LinAlgError("characteristic polynomial of non-square matrix")
-    zero = f.zero()
     h = [list(r) for r in m.rows]
     for col in range(n - 2):
         r = col + 1
-        piv = next((i for i in range(r, n) if h[i][col] != zero), None)
+        piv = next((i for i in range(r, n) if h[i][col]), None)
         if piv is None:
             continue
         h[piv], h[r] = h[r], h[piv]
@@ -475,24 +479,30 @@ def charpoly(m: Matrix) -> list:
             row[piv], row[r] = row[r], row[piv]
         inv = f.inv(h[r][col])
         for i in range(r + 1, n):
-            u = f.mul(h[i][col], inv)
-            if u != zero:  # row_i -= u row_r, then column_r += u column_i
-                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[r])]
-                for row in h:
-                    row[r] = f.add(row[r], f.mul(u, row[i]))
-    polys = [[f.one()]]
+            u = h[i][col] * inv
+            if p:
+                u %= p
+            if u:  # row_i -= u row_r, then column_r += u column_i
+                h[i] = _mod(p, [x - u * y if y else x for x, y in zip(h[i], h[r])])
+                column = _mod(p, [row[r] + u * row[i] if row[i] else row[r] for row in h])
+                for row, x in zip(h, column):
+                    row[r] = x
+    polys = [[one]]
     for k in range(n):
-        p = [zero] + polys[k]
-        prod = f.one()  # h_{i+1,i} ... h_{k,k-1}
+        q = [zero] + polys[k]
+        prod = one  # h_{i+1,i} ... h_{k,k-1}
         for i in range(k, -1, -1):
-            c = f.mul(prod, h[i][k])
-            if c != zero:
-                for j, q in enumerate(polys[i]):
-                    p[j] = f.sub(p[j], f.mul(c, q))
-            prod = f.mul(prod, h[i][i - 1]) if i else zero
-            if prod == zero:
+            c = prod * h[i][k]
+            if c:
+                for j, x in enumerate(polys[i]):
+                    if x:
+                        q[j] -= c * x
+            prod = prod * h[i][i - 1] if i else zero
+            if p:
+                prod %= p
+            if not prod:
                 break
-        polys.append(p)
+        polys.append(_mod(p, q))
     return polys[n]
 
 
@@ -549,13 +559,13 @@ def eigenspace(m: Matrix, eigenvalue) -> Subspace:
 
 
 def vec_add(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.add(field.coerce(a), field.coerce(b)) for a, b in zip(u, v))
+    """Sum of two equally long vectors of native scalars."""
+    return (Matrix._of(field, [u], len(u)) + Matrix._of(field, [v], len(v))).rows[0]
 
 
 def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(
-        field.mul(field.coerce(a), field.coerce(b)) for a in u for b in v
-    )
+    """Kronecker product of two vectors of native scalars (left-major)."""
+    return Matrix._of(field, [u], len(u)).kron(Matrix._of(field, [v], len(v))).rows[0]
 
 
 def unit_vector(field: Field, n: int, i: int) -> tuple:

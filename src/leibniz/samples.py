@@ -29,13 +29,7 @@ from .linalg import LinAlgError, Matrix, invert
 
 def random_invertible(field, n: int, rng: random.Random) -> Matrix:
     while True:
-        m = Matrix(
-            field,
-            [
-                [field.from_int(rng.randint(-2, 2)) for _ in range(n)]
-                for _ in range(n)
-            ],
-        )
+        m = Matrix.from_ints(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         try:
             invert(m)
             return m
@@ -68,10 +62,8 @@ def random_left_module_matrices(alg: LeibnizAlgebra, dim: int, rng: random.Rando
     algebras the second basis element (the kernel direction, which is a
     product) must act by zero while the first is free."""
     f = alg.field
-    rand = lambda: Matrix(
-        f,
-        [[f.from_int(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)],
-    )
+    rand = lambda: Matrix.from_ints(f, [[rng.randint(-2, 2) for _ in range(dim)]
+                                        for _ in range(dim)])
     if alg == make_e(f):
         return [rand()]
     if alg == make_A(f) or alg == make_N(f):

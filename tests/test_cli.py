@@ -310,6 +310,36 @@ class TestSeedHandling:
         assert (c.ok, c.details) == (d.ok, d.details)
 
 
+# Malformed input for every subcommand but ``gr``; "{missing}" and "{list}"
+# stand for a missing file and a file holding a JSON list, not an object.
+MODULE_SPECS = ("sym:1/0", "anti:1/0,0,0", "onedim:", "onedim:1", "onedim:1;2;3",
+                "onedim:1/0;0", "file:{missing}", "file:{list}")
+BAD_INPUTS = [
+    *(
+        (command, *bad)
+        for command in ("check", "kernel", "canonical-lie", "bimodule", "tensor", "trunc",
+                        "trunc-report", "chop", "envelope")
+        for bad in (
+            ("--field", "Fp:4"),
+            ("--field", "Q:3"),
+            ("--example", "abelian:x"),
+            ("--algebra-file", "{missing}"),
+            ("--algebra-file", "{list}"),
+        )
+    ),
+    *(("bimodule", "--example", "A", "--module", spec) for spec in MODULE_SPECS),
+    *(
+        (command, "--example", "A", option, spec)
+        for command in ("tensor", "trunc", "trunc-report")
+        for option in ("--left", "--right")
+        for spec in MODULE_SPECS
+    ),
+    *(("chop", "--example", "A", "--left", spec) for spec in MODULE_SPECS),
+    ("envelope", "--example", "A", "--cutoff", "-1", "--dims"),
+    ("envelope", "--example", "sl2", "--cutoff", "-1", "--hopf"),
+]
+
+
 class TestOneLineErrors:
     def test_missing_module_file(self, capsys):
         code, _, err = run(capsys, "bimodule", "--example", "A", "--module", "file:/missing")
@@ -408,6 +438,16 @@ class TestOneLineErrors:
     )
     def test_gr_bad_input_is_one_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
+        assert code in (1, 2)
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS)
+    def test_bad_input_is_one_line(self, capsys, tmp_path, argv):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]", encoding="utf-8")
+        paths = {"missing": tmp_path / "missing.json", "list": listed}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code in (1, 2)
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err

@@ -3,7 +3,10 @@ over QQ and GF(p).
 
 Every answer of ``leibniz.linalg`` is recomputed by sympy from the same
 entries, including 0 x n and n x 0 inputs and matrices whose eigenvalues
-repeat or are non-integer rationals.
+repeat or are non-integer rationals.  The arithmetic of ``Matrix`` and the
+vector helpers is checked on zero-heavy inputs, and every kernel output is
+checked to hold native scalars only: a ``Fraction`` over Q and an ``int``
+in ``[0, p)`` over F_p.
 """
 
 import random
@@ -23,12 +26,16 @@ from leibniz.linalg import (
     charpoly,
     determinant,
     eigenvalues_in_field,
+    induced_on_quotient,
     invert,
     nullspace,
     rank,
+    vec_add,
+    vec_kron,
 )
 
 FIELDS = [QQ, FF(2), FF(3), FF(5), FF(7)]
+ARITH_FIELDS = FIELDS + [FF(101)]
 
 
 def domain(field):
@@ -75,6 +82,167 @@ def matrices(draw, square=False, fields=FIELDS, max_dim=4):
     m = n if square else draw(st.integers(0, max_dim))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return random_matrix(field, n, m, rng)
+
+
+def zero_heavy(field, n, m, rng, density) -> Matrix:
+    """An n x m matrix whose entries are zero with probability 1 - density;
+    the others are any nonzero residue over F_p, or small fractions over Q."""
+    def entry():
+        if rng.random() >= density:
+            return field.zero()
+        if field.characteristic:
+            return rng.randrange(1, field.characteristic)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
+    return Matrix(field, [[entry() for _ in range(m)] for _ in range(n)], m)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """A field, three dimensions in 0..4 (so 0 x n and n x 0 shapes occur)
+    and a seeded generator of zero-heavy matrices of those shapes."""
+    field = draw(st.sampled_from(ARITH_FIELDS))
+    dims = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    return field, dims, lambda n, m: zero_heavy(field, n, m, rng, density), rng
+
+
+def as_matrix(field, d: DomainMatrix) -> Matrix:
+    return Matrix(field, rows_of(d, field), d.shape[1])
+
+
+def as_vector(field, d: DomainMatrix) -> tuple:
+    return tuple(from_sympy(field, x) for row in d.to_list() for x in row)
+
+
+def column(field, vec) -> DomainMatrix:
+    return DomainMatrix([[to_sympy(field, x)] for x in vec], (len(vec), 1), domain(field))
+
+
+def row_vector(field, vec) -> DomainMatrix:
+    return DomainMatrix([[to_sympy(field, x) for x in vec]], (1, len(vec)), domain(field))
+
+
+def kron_oracle(a: Matrix, b: Matrix) -> DomainMatrix:
+    """(A (x) B)[i*p + k][j*q + l] = A[i][j] B[k][l], in sympy's domain."""
+    x, y = dm(a).to_list(), dm(b).to_list()
+    rows = [
+        [x[i][j] * y[k][l] for j in range(a.ncols) for l in range(b.ncols)]
+        for i in range(a.nrows)
+        for k in range(b.nrows)
+    ]
+    shape = (a.nrows * b.nrows, a.ncols * b.ncols)
+    return DomainMatrix(rows, shape, domain(a.field))
+
+
+def native(field, x) -> bool:
+    if field.characteristic:
+        return type(x) is int and 0 <= x < field.characteristic
+    return type(x) is Fraction
+
+
+def all_native(field, xs) -> bool:
+    return all(native(field, x) for x in xs)
+
+
+class TestArithmeticAgainstDomainMatrix:
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_product_and_apply(self, case):
+        field, (n, k, m), draw, rng = case
+        a, b = draw(n, k), draw(k, m)
+        assert a * b == as_matrix(field, dm(a) * dm(b))
+        vec = draw(1, k).rows[0]
+        assert a.apply(vec) == as_vector(field, dm(a) * column(field, vec))
+        with pytest.raises(LinAlgError):
+            a * draw(k + 1, m)
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_sum_difference_negation_scale(self, case):
+        field, (n, m, _), draw, rng = case
+        a, b = draw(n, m), draw(n, m)
+        c = draw(1, 1).rows[0][0]
+        assert a + b == as_matrix(field, dm(a) + dm(b))
+        assert a - b == as_matrix(field, dm(a) - dm(b))
+        assert -a == as_matrix(field, -dm(a))
+        assert a.scale(c) == as_matrix(field, dm(a).mul(to_sympy(field, c)))
+        assert a.transpose() == as_matrix(field, dm(a).transpose())
+        assert a.is_zero() == dm(a).is_zero_matrix
+        assert (a - a).is_zero() and Matrix.zeros(field, n, m).is_zero()
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_kron(self, case):
+        field, (n, m, k), draw, rng = case
+        a, b = draw(n, m), draw(k, rng.randint(0, 3))
+        assert a.kron(b) == as_matrix(field, kron_oracle(a, b))
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_vectors(self, case):
+        field, (n, m, _), draw, rng = case
+        u, v, w = (draw(1, d).rows[0] for d in (n, n, m))
+        assert vec_add(field, u, v) == as_vector(field, row_vector(field, u) + row_vector(field, v))
+        want = kron_oracle(Matrix(field, [u], n), Matrix(field, [w], m))
+        assert vec_kron(field, u, w) == as_vector(field, want)
+
+
+class TestNativeScalars:
+    """Every entry of every kernel output is a native scalar of its field,
+    whatever mix of zero and nonzero operands went in."""
+
+    @pytest.mark.parametrize("field", ARITH_FIELDS, ids=repr)
+    def test_mixed_operands(self, field):
+        a = Matrix(field, [[0, 1, 0], [2, 0, 3], [0, 0, 0]])
+        b = Matrix(field, [[1, 0, 0], [0, 0, 4], [5, 6, 0]])
+        for out in (a + b, a - b, b - a, -a, a.scale(3), a.scale(0), a * b, a.kron(b),
+                    a.transpose(), Subspace.span(field, 3, a.rows + b.rows).basis):
+            assert all_native(field, (x for row in out.rows for x in row)), out
+        u, v = a.rows[1], b.rows[0]
+        for out in (a.apply(u), vec_add(field, u, v), vec_kron(field, u, v), charpoly(a * b)):
+            assert all_native(field, out), out
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matrix_operations(self, case):
+        field, (n, m, _), draw, rng = case
+        a, b, sq = draw(n, m), draw(n, m), draw(n, n)
+        c = draw(1, 1).rows[0][0]
+        outputs = [a + b, a - b, -a, a.scale(c), a.scale(2), a * draw(m, n), a.kron(b),
+                   a.transpose(), sq * sq, Matrix.zeros(field, n, m), Matrix.identity(field, n),
+                   Matrix(field, [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)], m)]
+        for out in outputs:
+            assert all_native(field, (x for row in out.rows for x in row))
+        vec = draw(1, m).rows[0]
+        assert all_native(field, a.apply(vec))
+        assert all_native(field, vec_add(field, vec, vec) + vec_kron(field, vec, vec))
+        assert all_native(field, charpoly(sq)) and native(field, determinant(sq))
+        assert native(field, sq.trace())
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_reduction_outputs(self, case):
+        field, (n, m, _), draw, rng = case
+        a, b = draw(n, m), draw(n, m)
+        red = RowReducer(field, m)
+        red.insert_all(a.rows)
+        red.insert_all({j: rng.randint(-9, 9) for j in range(m) if rng.random() < 0.5}
+                       for _ in range(2))
+        assert all(all_native(field, row.values()) for row in red._rows.values())
+        assert all(all_native(field, row) for row in red.rows)
+        probe = draw(1, m).rows[0]
+        assert all_native(field, red.reduce(probe))
+        assert all_native(field, red.reduce(dict(enumerate(probe))).values())
+        u, w = Subspace.span(field, m, a.rows), Subspace.span(field, m, b.rows)
+        for space in (u, w, u.sum(w), u.intersect(w), nullspace(a)):
+            assert all_native(field, (x for row in space.basis.rows for x in row))
+        sq = draw(n, n)
+        image = Subspace.span(field, n, sq.columns())  # sq-invariant
+        quotient = induced_on_quotient(sq, image)
+        assert all_native(field, (x for row in quotient.rows for x in row))
+        if rank(sq) == n:
+            assert all_native(field, (x for row in invert(sq).rows for x in row))
 
 
 class TestAgainstDomainMatrix:

@@ -128,6 +128,8 @@ class LeibnizAlgebra:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise AlgebraError(f"algebra JSON parse error: {exc}") from None
+        if not isinstance(doc, dict):
+            raise AlgebraError("algebra document must be a JSON object")
         try:
             field = Field.from_spec(doc["field"])
             names = doc["basis"]

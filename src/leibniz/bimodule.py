@@ -317,7 +317,7 @@ def column_span(field: Field, mats, dim: int) -> Subspace:
     vecs = []
     for m in mats:
         vecs.extend(m.columns())
-    return Subspace.span(field, dim, vecs)
+    return Subspace.span(field, dim, vecs, _native=True)
 
 
 def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
@@ -328,7 +328,7 @@ def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
         mats += list(mod.rho)
     red = space.reducer()
     return all(
-        red.contains(m.apply(v)) for m in mats for v in space.basis_vectors()
+        red.contains(m.apply(v), _native=True) for m in mats for v in space.basis_vectors()
     )
 
 
@@ -381,7 +381,7 @@ def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
         for v in frontier:
             for m in mats:
                 w = m.apply(v)
-                if red.insert(w):
+                if red.insert(w, _native=True):
                     new.append(w)
         if not new:
             break

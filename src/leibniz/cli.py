@@ -431,6 +431,8 @@ def cmd_gr(args):
             {
                 "command": "gr props",
                 "rule": rule.name,
+                "seed": args.seed,
+                "trials": args.trials,
                 "window_size": len(window),
                 "identities": verdicts,
                 "criterion_scan": [

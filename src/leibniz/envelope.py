@@ -9,10 +9,9 @@ with relations of lead degree 2 and degree <= 1 tails:
   Lie envelope       commutator relations of the quotient algebra
 
 Everything is computed inside the slice of words of bounded length.  The
-degree-d ideal slice is spanned by u * rel * v with |u| + 2 + |v| <= d;
-for inhomogeneous ideals this can undercount the true slice, so the
-filtered dimensions are documented as upper bounds on the quotient
-dimensions and are asserted only where a closed form pins them down.
+degree-d ideal slice is spanned by u * rel * v with |u| + 2 + |v| <= d,
+which for inhomogeneous ideals can miss elements of the true slice: the
+filtered dimensions are upper bounds, asserted where a closed form fixes them.
 
 Monomial order: degree first, longest words leading, and lexicographic
 within a degree with left-action generators first.  One row reduction of
@@ -21,8 +20,9 @@ remainder, with the longest words reduced first) as well as the filtered
 dimensions (the echelon rows that pivot on short words); compare
 Bergman's diamond lemma (Adv. Math. 29, 1978).  Each u * rel * v (at most
 four terms) enters the sparse row reducer as a ``{column: scalar}`` map.
-The upper bounds so computed for hemi-sl2-L1 over Q at cutoff 4 (11,111
-words) are ``ul`` [1, 9, 30, 70, 315] and ``ulweak`` [1, 9, 55, 295, 2165].
+The bounds for hemi-sl2-L1 over Q at cutoff 4 (11,111 words) are ``ul``
+[1, 9, 30, 70, 315] and ``ulweak`` [1, 9, 55, 295, 2165].  When the Leibniz
+kernel is nonzero the loose bound is the top degree, the cutoff itself.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ bimodules, and builds the irreducible bimodule of a label.
 Identity checkers probe commutativity, associativity, the alternative and
 Jordan laws, and fourth-power associativity on finite windows plus seeded
 random integer combinations; verdicts carry explicit counterexamples.
+
+Each rule interns its labels, which hash once, and memoises the product of
+each ordered pair of its labels in a table that ``gr_mul`` reads;
+``FusionRule.mul`` returns a fresh element that the caller may change.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ class Label:
             raise GrothError(f"bad label kind {self.kind!r}")
         if self.kind == "unit" and self.tag is not None:
             raise GrothError("the unit label carries no tag")
+        object.__setattr__(self, "_hash", hash((self.kind, self.tag)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.kind, repr(self.tag))
@@ -83,9 +91,6 @@ class GrElement:
         for l, c in other.terms.items():
             out[l] = out.get(l, 0) + c
         return GrElement(out)
-
-    def scale(self, n: int) -> "GrElement":
-        return GrElement({l: n * c for l, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,13 +209,16 @@ class FusionRule:
     sym: BaseRing
     anti: BaseRing
     default_window: int
+    _labels: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    _products: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def base(self, kind: str) -> BaseRing:
         return self.sym if kind == "sym" else self.anti
 
     def label(self, kind: str, tag) -> Label:
-        """The label of a tag on one side; the side's unit is U."""
-        return UNIT if tag == self.base(kind).unit else Label(kind, tag)
+        """The one label of a tag on one side; the side's unit is U."""
+        label = UNIT if tag == self.base(kind).unit else Label(kind, tag)
+        return self._labels.setdefault((kind, tag), label)
 
     def owns(self, label: Label) -> bool:
         if label.kind == "unit":
@@ -219,24 +227,29 @@ class FusionRule:
         return base.owns(label.tag) and label.tag != base.unit
 
     def mul(self, a: Label, b: Label) -> GrElement:
+        """The product ``a b``, as a fresh element."""
+        return GrElement(dict(self._product(a, b)))
+
+    def _product(self, a: Label, b: Label) -> tuple:
+        """``a b`` as ((label, coefficient), ...), stored per ordered pair of owned labels."""
+        if (product := self._products.get((a, b))) is not None:
+            return product
         for l in (a, b):
             if not self.owns(l):
                 raise GrothError(f"label {l!r} does not belong to rule {self.name}")
-        if a.kind == "unit":
-            return GrElement.of(b)
-        if b.kind == "unit":
-            return GrElement.of(a)
-        if a.kind != b.kind:
-            return GrElement.zero()
         out: dict = {}
-        for tag, coeff in self.base(a.kind).mul(a.tag, b.tag).items():
-            target = self.label(a.kind, tag)
-            out[target] = out.get(target, 0) + coeff
-        return GrElement(out)
+        if "unit" in (a.kind, b.kind):
+            out[b if a.kind == "unit" else a] = 1
+        elif a.kind == b.kind:
+            for tag, coeff in self.base(a.kind).mul(a.tag, b.tag).items():
+                target = self.label(a.kind, tag)
+                out[target] = out.get(target, 0) + coeff
+        self._products[a, b] = product = tuple(GrElement(out).terms.items())
+        return product
 
     def window(self, size: int) -> list:
         return [UNIT] + [
-            Label(kind, tag)
+            self.label(kind, tag)
             for kind in ("sym", "anti")
             for tag in self.base(kind).window(size)
             if tag != self.base(kind).unit
@@ -247,7 +260,7 @@ def gr_mul(rule: FusionRule, a: GrElement, b: GrElement) -> GrElement:
     out: dict = {}
     for la, ca in a.terms.items():
         for lb, cb in b.terms.items():
-            for l, c in rule.mul(la, lb).terms.items():
+            for l, c in rule._product(la, lb):
                 out[l] = out.get(l, 0) + ca * cb * c
     return GrElement(out)
 

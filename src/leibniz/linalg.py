@@ -13,7 +13,7 @@ over Q, ``int`` in ``[0, p)`` over F_p), and every operation is one loop of
 Python operators that skips zero operands (tested by truthiness) and, in
 characteristic p, ends with one ``% p`` per entry.  Only the public
 boundary coerces: ``Matrix(field, rows)``, ``Matrix.scale`` and the vectors
-given to ``RowReducer``; matrices the kernel builds itself skip it.
+given to ``RowReducer``; matrices and rows the kernel builds itself skip it.
 
 The fixed tensor basis convention used throughout the package: the basis
 vector ``u_i (x) w_j`` of ``U (x) W`` has flat index ``i*dim(W) + j``
@@ -210,8 +210,10 @@ class RowReducer:
         self.pivots: list[int] = []  # ascending
         self._rows: dict[int, dict] = {}  # pivot -> row
 
-    def _sparse(self, vec) -> dict:
+    def _sparse(self, vec, native: bool = False) -> dict:
         """A fresh ``{column: nonzero scalar}`` copy of ``vec``."""
+        if native:  # a dense row of native scalars that the kernel made: unchecked
+            return {j: x for j, x in enumerate(vec) if x}
         coerce = self.field.coerce
         if isinstance(vec, dict):
             if any(not 0 <= j < self.width for j in vec):
@@ -254,9 +256,9 @@ class RowReducer:
         self._rows[pivot] = row
         self.pivots.insert(at, pivot)
 
-    def reduce(self, vec):
+    def reduce(self, vec, _native: bool = False):
         """Residual of ``vec`` after eliminating all current pivots."""
-        v = self._eliminate(self._sparse(vec))
+        v = self._eliminate(self._sparse(vec, _native))
         return v if isinstance(vec, dict) else self._dense(v)
 
     def coords(self, vec) -> list | None:
@@ -265,12 +267,12 @@ class RowReducer:
         cs = [v.get(p, self.field.zero()) for p in self.pivots]
         return None if self._eliminate(v) else cs
 
-    def contains(self, vec) -> bool:
-        return not self._eliminate(self._sparse(vec))
+    def contains(self, vec, _native: bool = False) -> bool:
+        return not self._eliminate(self._sparse(vec, _native))
 
-    def insert(self, vec) -> bool:
+    def insert(self, vec, _native: bool = False) -> bool:
         """Add ``vec`` to the span; True if the rank grew."""
-        v = self._eliminate(self._sparse(vec))
+        v = self._eliminate(self._sparse(vec, _native))
         if not v:
             return False
         pivot = min(v)
@@ -278,9 +280,9 @@ class RowReducer:
         self._store(pivot, dict(zip(v, _mod(p, [c * x for x in v.values()]))))
         return True
 
-    def insert_all(self, vecs: Iterable) -> None:
+    def insert_all(self, vecs: Iterable, _native: bool = False) -> None:
         for v in vecs:
-            self.insert(v)
+            self.insert(v, _native)
 
     @property
     def rank(self) -> int:
@@ -307,9 +309,9 @@ class Subspace:
         self.pivots = pivots
 
     @staticmethod
-    def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def span(field: Field, ambient_dim: int, vectors: Iterable, _native: bool = False) -> "Subspace":
         red = RowReducer(field, ambient_dim)
-        red.insert_all(vectors)
+        red.insert_all(vectors, _native)
         return Subspace(field, ambient_dim, red.basis(), tuple(red.pivots))
 
     @staticmethod
@@ -350,7 +352,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         red = self.reducer()
-        return all(red.contains(v) for v in other.basis.rows)
+        return all(red.contains(v, _native=True) for v in other.basis.rows)
 
     def __eq__(self, other):
         return (
@@ -368,7 +370,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         red = self.reducer()
-        red.insert_all(other.basis.rows)
+        red.insert_all(other.basis.rows, _native=True)
         return Subspace(self.field, self.ambient_dim, red.basis(), tuple(red.pivots))
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -379,8 +381,8 @@ class Subspace:
         f, n = self.field, self.ambient_dim
         z = f.zero()
         red = RowReducer(f, 2 * n)
-        red.insert_all(r + r for r in self.basis.rows)
-        red.insert_all(r + (z,) * n for r in other.basis.rows)
+        red.insert_all((r + r for r in self.basis.rows), _native=True)
+        red.insert_all((r + (z,) * n for r in other.basis.rows), _native=True)
         k = bisect.bisect_left(red.pivots, n)
         rows = [row[n:] for row in red.rows[k:]]
         return Subspace(f, n, Matrix._of(f, rows, n), tuple(p - n for p in red.pivots[k:]))
@@ -403,7 +405,7 @@ def nullspace(m: Matrix) -> Subspace:
     """Right kernel {v : M v = 0}."""
     f = m.field
     red = RowReducer(f, m.ncols)
-    red.insert_all(m.rows)
+    red.insert_all(m.rows, _native=True)
     pivots = set(red.pivots)
     free = [j for j in range(m.ncols) if j not in pivots]
     rows = list(zip(red.rows, red.pivots))
@@ -415,12 +417,12 @@ def nullspace(m: Matrix) -> Subspace:
         for row, p in rows:
             v[p] = -row[j]
         basis.append(_mod(f.characteristic, v))
-    return Subspace.span(f, m.ncols, basis)
+    return Subspace.span(f, m.ncols, basis, _native=True)
 
 
 def rank(m: Matrix) -> int:
     red = RowReducer(m.field, m.ncols)
-    red.insert_all(m.rows)
+    red.insert_all(m.rows, _native=True)
     return red.rank
 
 
@@ -429,7 +431,7 @@ def induced_on_quotient(m: Matrix, space: Subspace) -> Matrix:
     coordinates of ``space``; ``space`` must be ``m``-invariant."""
     red = space.reducer()
     keep = space.complement_coords()
-    cols = [red.reduce(m.col(j)) for j in keep]
+    cols = [red.reduce(m.col(j), _native=True) for j in keep]
     return Matrix._of(m.field, [[c[i] for c in cols] for i in keep], len(keep))
 
 
@@ -442,7 +444,7 @@ def invert(m: Matrix) -> Matrix:
     red = RowReducer(f, 2 * n)
     ident = Matrix.identity(f, n)
     for i in range(n):
-        red.insert(list(m.rows[i]) + list(ident.rows[i]))
+        red.insert(m.rows[i] + ident.rows[i], _native=True)
     if red.pivots[:n] != list(range(n)) or red.rank != n:
         raise LinAlgError("matrix is singular")
     return Matrix._of(f, [row[n:] for row in red.rows], n)

@@ -58,7 +58,7 @@ def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:
     vecs = [
         vec_kron(f, x, y) for x in u.basis_vectors() for y in w.basis_vectors()
     ]
-    return Subspace.span(f, ambient, vecs)
+    return Subspace.span(f, ambient, vecs, _native=True)
 
 
 def image_subspace(p: Matrix, s: Subspace) -> Subspace:
@@ -87,7 +87,7 @@ def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
                             f, vec_kron(f, ma, nyb), vec_kron(f, mya, nb)
                         )
                     )
-    return Subspace.span(f, ambient, gens)
+    return Subspace.span(f, ambient, gens, _native=True)
 
 
 @dataclass

@@ -278,6 +278,13 @@ class TestGrRules:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    def test_gr_props_echoes_seed_and_trials(self, capsys):
+        code, out, _ = run(
+            capsys, "gr", "props", "--rule", "weight:1", "--trials", "7", "--seed", "3", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and (doc["seed"], doc["trials"]) == (3, 7)
+
     def test_gr_window_zero_is_the_default_window(self, capsys):
         code, out, _ = run(
             capsys, "gr", "props", "--rule", "sl2", "--window", "0", "--trials", "5", "--json"
@@ -310,10 +317,11 @@ class TestSeedHandling:
         assert (c.ok, c.details) == (d.ok, d.details)
 
 
-# Malformed input for every subcommand but ``gr``; "{missing}" and "{list}"
-# stand for a missing file and a file holding a JSON list, not an object.
+# Malformed input for every subcommand but ``gr``; "{missing}", "{list}" and
+# "{string}" stand for a missing file and files holding a JSON list and a JSON
+# string, not an object.
 MODULE_SPECS = ("sym:1/0", "anti:1/0,0,0", "onedim:", "onedim:1", "onedim:1;2;3",
-                "onedim:1/0;0", "file:{missing}", "file:{list}")
+                "onedim:1/0;0", "file:{missing}", "file:{list}", "file:{string}")
 BAD_INPUTS = [
     *(
         (command, *bad)
@@ -325,6 +333,7 @@ BAD_INPUTS = [
             ("--example", "abelian:x"),
             ("--algebra-file", "{missing}"),
             ("--algebra-file", "{list}"),
+            ("--algebra-file", "{string}"),
         )
     ),
     *(("bimodule", "--example", "A", "--module", spec) for spec in MODULE_SPECS),
@@ -354,6 +363,14 @@ class TestOneLineErrors:
         assert code == 1
         assert err.startswith("error: bimodule document must be a JSON object")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+    def test_non_object_algebra_file(self, tmp_path, capsys, text):
+        p = tmp_path / "x.json"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", "--algebra-file", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: algebra document must be a JSON object\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -444,9 +461,10 @@ class TestOneLineErrors:
 
     @pytest.mark.parametrize("argv", BAD_INPUTS)
     def test_bad_input_is_one_line(self, capsys, tmp_path, argv):
-        listed = tmp_path / "list.json"
+        listed, string = tmp_path / "list.json", tmp_path / "string.json"
         listed.write_text("[1, 2]", encoding="utf-8")
-        paths = {"missing": tmp_path / "missing.json", "list": listed}
+        string.write_text('"x"', encoding="utf-8")
+        paths = {"missing": tmp_path / "missing.json", "list": listed, "string": string}
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code in (1, 2)
         assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,8 @@
 """Fusion rules, identity checkers, criterion scan, module reconciliation."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from leibniz import bimodule as bimodule_mod, groth as groth_mod, suite
@@ -455,3 +458,142 @@ class TestParsing:
             parse_element(SR, "S(1,2)")
         with pytest.raises(GrothError):
             parse_element(SR, "Q(1)")
+
+
+# The reference product below uses only the base rings' ``mul``: U is
+# neutral, cross-side products vanish and same-side tags multiply in the
+# side's ring, with its unit sent to U.  It never reads a rule's table.
+
+
+def reference_product(rule, a, b):
+    if a == UNIT:
+        return GrElement.of(b)
+    if b == UNIT:
+        return GrElement.of(a)
+    if a.kind != b.kind:
+        return GrElement.zero()
+    base = rule.sym if a.kind == "sym" else rule.anti
+    out = {}
+    for tag, c in base.mul(a.tag, b.tag).items():
+        label = UNIT if tag == base.unit else Label(a.kind, tag)
+        out[label] = out.get(label, 0) + c
+    return GrElement(out)
+
+
+def reference_gr_mul(rule, x, y):
+    out = {}
+    for la, ca in x.terms.items():
+        for lb, cb in y.terms.items():
+            for l, c in reference_product(rule, la, lb).terms.items():
+                out[l] = out.get(l, 0) + ca * cb * c
+    return GrElement(out)
+
+
+def reference_window(rule, size):
+    return [UNIT] + [
+        Label(kind, tag)
+        for kind, base in (("sym", rule.sym), ("anti", rule.anti))
+        for tag in base.window(size)
+        if tag != base.unit
+    ]
+
+
+TABLE_RULES = [
+    pytest.param(lambda: weight_rule(QQ, 1), 2, id="weight:1"),
+    pytest.param(lambda: weight_rule(QQ, 2), 2, id="weight:2"),
+    pytest.param(sl2_rule, 4, id="sl2"),
+]
+
+
+class TestProductTable:
+    """Each rule memoises its label products: the table must be an exact
+    cache of the product, and never a way around its checks."""
+
+    @pytest.mark.parametrize("make, size", TABLE_RULES)
+    def test_every_pair_cold_then_warm(self, make, size):
+        rule = make()
+        window = reference_window(rule, size)
+        for _ in ("cold", "warm"):
+            for a in window:
+                for b in window:
+                    want = reference_product(rule, a, b)
+                    assert rule.mul(a, b) == want, (a, b)
+                    assert gr_mul(rule, GrElement.of(a, 2), GrElement.of(b, -3)) == (
+                        reference_gr_mul(rule, GrElement.of(a, 2), GrElement.of(b, -3))
+                    )
+
+    @pytest.mark.parametrize(
+        "make, foreign",
+        [(lambda: weight_rule(QQ, 1), S(wtag(1, 2))), (lambda: weight_rule(QQ, 1), A(1)),
+         (sl2_rule, S(-1)), (sl2_rule, A(wtag(1))), (sl2_rule, S(0))],
+    )
+    def test_foreign_label_raises_on_a_warm_table(self, make, foreign):
+        rule = make()
+        window = rule.window(2)
+        for a in window:
+            for b in window:
+                rule.mul(a, b)
+        for a in window:
+            for args in ((a, foreign), (foreign, a)):
+                with pytest.raises(GrothError):
+                    rule.mul(*args)
+                with pytest.raises(GrothError):
+                    gr_mul(rule, *(GrElement.of(l) for l in args))
+
+    def test_returned_element_is_the_callers(self):
+        for rule, a, b in ((weight_rule(QQ, 1), S(wtag(1)), S(wtag(-1))), (sl2_rule(), S(1), S(2))):
+            want = reference_product(rule, a, b)
+            first = rule.mul(a, b)
+            first.terms.clear()
+            first.terms[A(7)] = 5
+            assert rule.mul(a, b) == want
+            product = gr_mul(rule, GrElement.of(a), GrElement.of(b))
+            product.terms[UNIT] = 99
+            assert gr_mul(rule, GrElement.of(a), GrElement.of(b)) == want
+
+    def test_ordered_pairs_are_separate_entries(self):
+        calls = []
+        base = cg_base()
+
+        def counting_mul(x, y):
+            calls.append((x, y))
+            return base.mul(x, y)
+
+        counted = dataclasses.replace(base, mul=counting_mul)
+        rule = star_product(counted, counted)
+        rule.mul(S(1), S(2))
+        rule.mul(S(1), S(2))
+        gr_mul(rule, GrElement.of(S(1)), GrElement.of(S(2)))
+        assert calls == [(1, 2)]
+        rule.mul(S(2), S(1))
+        assert calls == [(1, 2), (2, 1)]
+
+    def test_equal_labels_hash_equal(self):
+        pairs = [
+            (Label("sym", (Fraction(1),)), Label("sym", (1,))),
+            (Label("anti", (Fraction(-2), Fraction(1, 2))), Label("anti", (-2, Fraction(1, 2)))),
+            (Label("sym", 3), Label("sym", 3)),
+            (Label("unit"), UNIT),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y) == hash((x.kind, x.tag))
+        assert Label("sym", (1,)) != Label("anti", (1,))
+        rule = weight_rule(QQ, 1)
+        assert rule.label("sym", wtag(1)) is rule.label("sym", wtag(1))
+        assert rule.window(1)[1] is rule.label("sym", wtag(-1))
+        assert rule.mul(UNIT, Label("sym", (1,))) == GrElement.of(S(wtag(1)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make, size", TABLE_RULES)
+    def test_identity_verdicts_match_the_reference(self, monkeypatch, make, size, seed):
+        # window 2 and 200 trials are what check 10a runs for weight:1 and
+        # weight:2, and window 4 what check 10b runs for sl2
+        rule = make()
+        got = identity_checkers(rule, rule.window(size), trials=200, seed=seed)
+        monkeypatch.setattr(groth_mod, "gr_mul", reference_gr_mul)
+        fresh = make()
+        want = identity_checkers(fresh, reference_window(fresh, size), trials=200, seed=seed)
+        assert got == want
+        for name, verdict in got.items():
+            wit, ref = verdict.counterexample, want[name].counterexample
+            assert repr(wit) == repr(ref)

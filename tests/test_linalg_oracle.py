@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF, Poly, QQ as SQQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from leibniz.fields import FF, QQ
+from leibniz.fields import FF, QQ, FieldError
 from leibniz.linalg import (
     LinAlgError,
     Matrix,
@@ -384,6 +384,38 @@ class TestSparseRowReducer:
         red = RowReducer(QQ, 3)
         with pytest.raises(LinAlgError):
             red.insert(vec)
+
+    @pytest.mark.parametrize("field", [QQ, FF(5)], ids=repr)
+    def test_public_methods_coerce_and_check(self, field):
+        red = RowReducer(field, 3)
+        assert red.insert([2, 7, 0])  # plain ints; 7 is outside [0, 5)
+        assert all(all_native(field, row) for row in red.rows)
+        assert all_native(field, red.reduce([1, -3, 4]))
+        assert all_native(field, red.reduce({0: 1, 2: 6}).values())
+        assert red.contains([4, 14, 0]) and red.coords((4, 14, 0)) == [field.from_int(4)]
+        for method in (red.insert, red.reduce, red.contains, red.coords):
+            for bad in ({-1: 1}, {3: 1}, [1, 2]):
+                with pytest.raises(LinAlgError):
+                    method(bad)
+            with pytest.raises(FieldError):
+                method(["x", 0, 0])
+
+    @pytest.mark.parametrize("field", ARITH_FIELDS, ids=repr)
+    def test_kernel_rows_skip_coercion(self, field, monkeypatch):
+        # the kernel's own rows are native already: coercing them again is waste
+        a = Matrix(field, [[1, 2, 0, 3], [0, 1, 4, 0], [0, 0, 1, 5], [0, 0, 0, 1]])
+        b = Matrix(field, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [0, 0, 0, 0]])
+        u, w = Subspace.span(field, 4, [b.rows[0], a.rows[0]]), Subspace.span(field, 4, b.rows)
+        image = Subspace.span(field, 4, b.columns())
+        calls = []
+        coerce = type(field).coerce
+        monkeypatch.setattr(type(field), "coerce", lambda f, x: calls.append(x) or coerce(f, x))
+        null, inverse = nullspace(b), invert(a)
+        r, total, meet = rank(b), u.sum(w), u.intersect(w)
+        inside, quotient = w.contains_subspace(u), induced_on_quotient(b, image)
+        assert calls == []
+        assert (null.dim, r, total.dim, meet.dim, inside, quotient.shape) == (2, 2, 3, 1, False, (2, 2))
+        assert (b * null.basis.transpose()).is_zero() and inverse * a == Matrix.identity(field, 4)
 
 
 def sympy_eigenvalues(m: Matrix) -> set:

@@ -414,7 +414,8 @@ class TestSparseRowReducer:
         r, total, meet = rank(b), u.sum(w), u.intersect(w)
         inside, quotient = w.contains_subspace(u), induced_on_quotient(b, image)
         assert calls == []
-        assert (null.dim, r, total.dim, meet.dim, inside, quotient.shape) == (2, 2, 3, 1, False, (2, 2))
+        dims = (null.dim, r, total.dim, meet.dim, inside, quotient.shape)
+        assert dims == (2, 2, 3, 1, False, (2, 2))
         assert (b * null.basis.transpose()).is_zero() and inverse * a == Matrix.identity(field, 4)
 
 

@@ -4,21 +4,22 @@ Runs ``perfbench/run.py`` on each of the four workloads at a fixed seed,
 once in the parent checkout and once in the working tree per pair, for ten
 pairs, swapping which side goes first from one pair to the next.  Writes
 every result line to ``BENCH_<pr>.json`` at the root of the repository,
-with the median and quartiles of each side and the number of pairs the
-change wins::
+with the median and quartiles of each side, the number of pairs the
+change wins, and the line count of ``src/leibniz/*.py`` on each side::
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent commit>
     python3 scripts/paired_bench.py --parent ../parent --pr <number>
 
 Each side runs its own ``perfbench/``.  This script never imports
-``leibniz``.  A run that reports an incorrect output or a failed operation
-stops it with exit 1 and one line naming the side, pair and workload, and
-no BENCH file is written.
+``leibniz``.  A run that reports an incorrect output or a failed operation,
+or whose last line of output is not JSON, stops it with exit 1 and one line
+naming the side, pair and workload, and no BENCH file is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -38,6 +39,14 @@ def commit(tree: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def src_lines(tree: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "leibniz", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def run_once(tree: str, workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
@@ -46,7 +55,11 @@ def run_once(tree: str, workload: str) -> dict:
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"error: no result from {tree} ({workload}): {proc.stderr.strip()}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"error: no JSON result from {tree} ({workload}): "
+                         f"last line {lines[-1][:200]!r}") from None
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             **{m: result["metrics"][m]["value"] for m in METRICS}}
@@ -89,6 +102,7 @@ def main(argv=None) -> int:
                 runs.append(line)
     doc = {"command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
            "parent": commit(sides["parent"]), "change": "working tree of " + commit(ROOT),
+           "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
            "runs": runs, "summary": summary(runs)}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:

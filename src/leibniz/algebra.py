@@ -27,17 +27,21 @@ class AlgebraError(ValueError):
 
 
 def _memo(fn):
-    """Compute ``fn(obj)`` once per immutable instance, kept in its
-    ``_derived`` dict; an error is not kept.  The body is read from
+    """Compute ``fn(obj, *args)`` once per immutable instance and equal
+    hashable arguments, kept in its ``_derived`` dict under the function's
+    name and the arguments; an error is not kept.  The body is read from
     ``__wrapped__`` at call time, so a test can count computations."""
-    key = fn.__name__
+    name = fn.__name__
 
     @functools.wraps(fn)
-    def once(obj):
-        derived = obj._derived
-        if key not in derived:
-            derived[key] = once.__wrapped__(obj)
-        return derived[key]
+    def once(obj, *args):
+        key = (name, *args) if args else name
+        try:
+            return obj._derived[key]
+        except KeyError:
+            pass
+        value = obj._derived[key] = once.__wrapped__(obj, *args)
+        return value
 
     return once
 
@@ -139,7 +143,7 @@ class LeibnizAlgebra:
             ]
         except (KeyError, TypeError, ValueError, FieldError) as exc:
             raise AlgebraError(f"bad algebra document: {exc}") from None
-        if doc.get("dim") != len(names):
+        if type(doc.get("dim")) is not int or doc["dim"] != len(names):
             raise AlgebraError("declared dim disagrees with basis length")
         return LeibnizAlgebra(field, names, table)
 

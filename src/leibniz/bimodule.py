@@ -16,7 +16,6 @@ the constructions in this module.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -48,9 +47,9 @@ class Bimodule:
     """Matrix realization of a two-sided module; immutable after creation.
 
     ``dim`` is required only when the algebra has no basis, so that there
-    are no action matrices to read it off.  Derived data (the axiom report,
-    the kernels and invariants) is computed once per instance and memoized
-    on it.
+    are no action matrices to read it off.  Derived data (the hash, the
+    axiom report, the kernels and invariants, the pair data of ``tensor``
+    with this module on the left) is computed once and memoized on it.
     """
 
     def __init__(self, algebra: LeibnizAlgebra, lam, rho, dim: int | None = None):
@@ -100,6 +99,10 @@ class Bimodule:
             and self.lam == other.lam
             and self.rho == other.rho
         )
+
+    @_memo
+    def __hash__(self):
+        return hash((self.algebra, self.dim, self.lam, self.rho))
 
     def __repr__(self):
         return f"Bimodule(dim {self.dim} over {self.algebra!r})"
@@ -245,12 +248,12 @@ def antisymmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimo
     return _check_llm(Bimodule(algebra, lam, z, dim))
 
 
-@functools.lru_cache(maxsize=256)
+@_memo
 def sl2_irreducible(algebra: LeibnizAlgebra, n: int, side: str) -> Bimodule:
     """The irreducible sl2 module L(n) as a "sym" or "anti" bimodule over an
     algebra whose first three basis elements act as (e, h, f); any further
     basis elements (those of hemi-sl2-L1) act by zero.  Built once per
-    (algebra, n, side) while cached; a Bimodule never changes."""
+    (n, side) and kept on the algebra; a Bimodule never changes."""
     f = algebra.field
     mats = sl2_module_matrices(f, n) + [Matrix.zeros(f, n + 1, n + 1)] * (algebra.dim - 3)
     return (symmetrize if side == "sym" else antisymmetrize)(algebra, mats, n + 1)

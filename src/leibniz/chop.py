@@ -127,6 +127,7 @@ def common_eigenvector(mats, field, ambient: int):
     """
     mats = list(mats)
 
+    # local to this search: the matrices belong to no object with a memo
     @functools.cache
     def eigenspaces(idx: int) -> list:
         return [eigenspace(mats[idx], ev) for ev in eigenvalues_in_field(mats[idx])]
@@ -150,6 +151,7 @@ def common_eigenvector(mats, field, ambient: int):
 # strategy 2: sl2 highest-weight peeling
 
 
+# a field has no ``_derived`` store, so this stays a process-wide cache
 @functools.lru_cache(maxsize=16)
 def _builtin_sl2_algebras(field) -> tuple:
     """The builtin sl2 and its hemi-semidirect extension, built once per

@@ -29,6 +29,7 @@ from . import algebra as alg_mod
 from . import envelope as env_mod
 from . import groth as gr_mod
 from . import suite as suite_mod
+from . import tensor as tensor_mod
 from .bimodule import (
     Bimodule,
     adjoint,
@@ -36,7 +37,6 @@ from .bimodule import (
     classify_flags,
     kernels_and_invariants,
     one_dim_bimodule,
-    quotient,
     sl2_irreducible,
     symmetrize,
     trivial_bimodule,
@@ -44,13 +44,6 @@ from .bimodule import (
 from .chop import chop
 from .fields import Field, FieldError, QQ
 from .linalg import Matrix
-from .tensor import (
-    coarse_kernel,
-    defect_closure,
-    mll_defect_span,
-    tensor_bimodule,
-    truncation_data,
-)
 
 
 class CliError(ValueError):
@@ -248,9 +241,9 @@ def cmd_bimodule(args):
 def cmd_tensor(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
-    t = tensor_bimodule(left, right)
+    t = tensor_mod.tensor_bimodule(left, right)
     rep = t.axiom_report()
-    defect = mll_defect_span(left, right)
+    defect = tensor_mod.mll_defect_span(left, right)
     report = {
         "command": "tensor",
         "dim": t.dim,
@@ -265,9 +258,11 @@ def cmd_trunc(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
     which = "under" if args.under else "bar"
-    tensor = tensor_bimodule(left, right)
-    kernel = coarse_kernel(left, right) if args.under else defect_closure(tensor, left, right)
-    out = quotient(tensor, kernel)
+    if args.under:
+        product, kernel = tensor_mod.trunc_under, tensor_mod.coarse_kernel
+    else:
+        product, kernel = tensor_mod.trunc_bar, tensor_mod.truncation_kernel
+    out = product(left, right)
     rep = out.axiom_report()
     report = {
         "command": f"trunc --{which}",
@@ -275,7 +270,7 @@ def cmd_trunc(args):
         "kind": rep.kind,
     }
     if left.is_full() and right.is_full():
-        report["kernel"] = _subspace_doc(kernel)
+        report["kernel"] = _subspace_doc(kernel(left, right))
         # quotients of full factors are full bimodules; anything else is a bug
         return report, rep.kind == "full"
     return report, True
@@ -284,7 +279,7 @@ def cmd_trunc(args):
 def cmd_trunc_report(args):
     algebra = resolve_algebra(args)
     left, right = _two_modules(args, algebra)
-    data = truncation_data(left, right)
+    data = tensor_mod.truncation_data(left, right)
     report = {
         "command": "trunc-report",
         "defect_span": _subspace_doc(data.s_span),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, canonical_lie, leibniz_kernel
+from .algebra import LeibnizAlgebra, _memo, canonical_lie, leibniz_kernel
 from .bimodule import Bimodule, BimoduleError
 from .linalg import RowReducer
 
@@ -77,7 +77,8 @@ def poly_degree(a: NCPoly) -> int:
 
 
 class PresentedAlgebra:
-    """Free algebra modulo lead-degree-2 relations, sliced by word length."""
+    """Free algebra modulo lead-degree-2 relations, sliced by word length;
+    the words and the ideal slice of each degree are memoized."""
 
     def __init__(self, field, gen_names, relations, cutoff: int = 3, which: str = "free",
                  algebra: LeibnizAlgebra | None = None):
@@ -92,10 +93,7 @@ class PresentedAlgebra:
         for rel in self.relations:
             if poly_degree(rel) > 2:
                 raise EnvelopeError("relations must have degree at most 2")
-        self._levels: list[list[Word]] = [[()]]  # words of each length
-        self._words: dict[int, list[Word]] = {}
-        self._index: dict[int, dict[Word, int]] = {}
-        self._reducers: dict[int, RowReducer] = {}
+        self._derived: dict = {}
 
     @property
     def ngens(self) -> int:
@@ -111,30 +109,32 @@ class PresentedAlgebra:
         except ValueError:
             raise EnvelopeError(f"no generator named {name!r}") from None
 
+    @_memo
     def _level(self, k: int) -> list[Word]:
         """Words of length exactly k, in lexicographic order."""
-        while len(self._levels) <= k:
-            last = self._levels[-1]
-            self._levels.append([w + (g,) for w in last for g in range(self.ngens)])
-        return self._levels[k]
+        if k == 0:
+            return [()]
+        return [w + (g,) for w in self._level(k - 1) for g in range(self.ngens)]
 
+    @_memo
     def slice_words(self, d: int) -> list[Word]:
         """Words of length <= d, longest first and each length in
         lexicographic order.  The words of length <= e are thus the tail of
         every slice, and an echelon basis of an ideal slice pivots on its
         longest words first."""
-        if d not in self._words:
-            words = [w for k in range(d, -1, -1) for w in self._level(k)]
-            self._words[d] = words
-            self._index[d] = {w: i for i, w in enumerate(words)}
-        return self._words[d]
+        return [w for k in range(d, -1, -1) for w in self._level(k)]
+
+    @_memo
+    def _word_index(self, d: int) -> dict[Word, int]:
+        """The column of each word in the degree-``d`` slice."""
+        return {w: i for i, w in enumerate(self.slice_words(d))}
 
     def poly_to_vec(self, poly: NCPoly, d: int) -> dict:
         """``poly`` as a sparse ``{column: scalar}`` vector of the slice."""
         if poly_degree(poly) > d:
             raise EnvelopeError(f"word of length {poly_degree(poly)} above slice degree {d}")
-        self.slice_words(d)
-        return {self._index[d][w]: c for w, c in poly.items()}
+        index = self._word_index(d)
+        return {index[w]: c for w, c in poly.items()}
 
     def vec_to_poly(self, vec, d: int) -> NCPoly:
         """Inverse of ``poly_to_vec``; ``vec`` may also be dense."""
@@ -142,21 +142,20 @@ class PresentedAlgebra:
         items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
         return {words[i]: c for i, c in items if c}
 
+    @_memo
     def ideal_reducer(self, d: int) -> RowReducer:
         """Span of u * rel * v with |u| + 2 + |v| <= d, row-reduced."""
         if d > self.cutoff:
             raise EnvelopeError(f"degree {d} above cutoff {self.cutoff}")
-        if d not in self._reducers:
-            red = RowReducer(self.field, len(self.slice_words(d)))
-            index = self._index[d]
-            for rel in self.relations:
-                for la in range(d - 1):
-                    for u in self._level(la):
-                        for lb in range(d - 1 - la):
-                            for v in self._level(lb):
-                                red.insert({index[u + w + v]: c for w, c in rel.items()})
-            self._reducers[d] = red
-        return self._reducers[d]
+        red = RowReducer(self.field, len(self.slice_words(d)))
+        index = self._word_index(d)
+        for rel in self.relations:
+            for la in range(d - 1):
+                for u in self._level(la):
+                    for lb in range(d - 1 - la):
+                        for v in self._level(lb):
+                            red.insert({index[u + w + v]: c for w, c in rel.items()})
+        return red
 
     def low_degree_ideal_dims(self, top: int) -> list[int]:
         """dim(computed ideal slice at degree ``top``, intersected with the
@@ -168,10 +167,8 @@ class PresentedAlgebra:
         top = max(top, 2)
         pivots = self.ideal_reducer(top).pivots
         width = len(self.slice_words(top))
-        return [
-            sum(1 for p in pivots if p >= width - len(self.slice_words(d)))
-            for d in range(top + 1)
-        ]
+        firsts = [width - len(self.slice_words(d)) for d in range(top + 1)]
+        return [sum(1 for p in pivots if p >= first) for first in firsts]
 
     def filtered_dims(self, up_to: int) -> list[int]:
         """Upper bounds on the dimensions of the degree <= d quotient

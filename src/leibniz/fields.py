@@ -69,7 +69,9 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def parse(self, text: str):
-        """A scalar from ``a`` or ``a/b`` with integers a, b."""
+        """A scalar from the text ``a`` or ``a/b`` with integers a, b."""
+        if not isinstance(text, str):
+            raise FieldError(f"scalar {text!r} for field {self.spec} must be a string")
         num, slash, den = text.strip().partition("/")
         try:
             num, den = int(num), int(den) if slash else 1

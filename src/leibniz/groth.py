@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import products_and_series
+from .algebra import _memo, products_and_series
 from .fields import Field
 
 
@@ -50,7 +50,10 @@ class Label:
             raise GrothError(f"bad label kind {self.kind!r}")
         if self.kind == "unit" and self.tag is not None:
             raise GrothError("the unit label carries no tag")
-        object.__setattr__(self, "_hash", hash((self.kind, self.tag)))
+        # CPython hashes -1 like -2, so each entry of a tag hashes by sign and size
+        tag = self.tag
+        key = tuple((t < 0, abs(t)) for t in tag) if isinstance(tag, tuple) else tag
+        object.__setattr__(self, "_hash", hash((self.kind, key)))
 
     def __hash__(self):
         return self._hash
@@ -209,16 +212,15 @@ class FusionRule:
     sym: BaseRing
     anti: BaseRing
     default_window: int
-    _labels: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
-    _products: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    _derived: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     def base(self, kind: str) -> BaseRing:
         return self.sym if kind == "sym" else self.anti
 
+    @_memo
     def label(self, kind: str, tag) -> Label:
         """The one label of a tag on one side; the side's unit is U."""
-        label = UNIT if tag == self.base(kind).unit else Label(kind, tag)
-        return self._labels.setdefault((kind, tag), label)
+        return UNIT if tag == self.base(kind).unit else Label(kind, tag)
 
     def owns(self, label: Label) -> bool:
         if label.kind == "unit":
@@ -230,10 +232,9 @@ class FusionRule:
         """The product ``a b``, as a fresh element."""
         return GrElement(dict(self._product(a, b)))
 
+    @_memo
     def _product(self, a: Label, b: Label) -> tuple:
         """``a b`` as ((label, coefficient), ...), stored per ordered pair of owned labels."""
-        if (product := self._products.get((a, b))) is not None:
-            return product
         for l in (a, b):
             if not self.owns(l):
                 raise GrothError(f"label {l!r} does not belong to rule {self.name}")
@@ -244,8 +245,7 @@ class FusionRule:
             for tag, coeff in self.base(a.kind).mul(a.tag, b.tag).items():
                 target = self.label(a.kind, tag)
                 out[target] = out.get(target, 0) + coeff
-        self._products[a, b] = product = tuple(GrElement(out).terms.items())
-        return product
+        return tuple(GrElement(out).terms.items())
 
     def window(self, size: int) -> list:
         return [UNIT] + [
@@ -485,7 +485,7 @@ class ClassRegistry:
 
     kind: str  # "weight" | "sl2"
     algebra: object
-    _modules: dict = dataclasses.field(
+    _derived: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -498,13 +498,9 @@ class ClassRegistry:
             return sl2_rule()
         return weight_rule(self.algebra.field, self.algebra.dim - self.product_span.dim)
 
+    @_memo
     def module(self, label: Label):
         """The irreducible bimodule whose class is ``label``, built once."""
-        if label not in self._modules:
-            self._modules[label] = self._build(label)
-        return self._modules[label]
-
-    def _build(self, label: Label):
         from .bimodule import antisymmetrize, sl2_irreducible, symmetrize, trivial_bimodule
         from .linalg import Matrix
 
@@ -569,6 +565,7 @@ def verify_ring_vs_modules(rule: FusionRule, registry: ClassRegistry, pairs) -> 
     from .tensor import trunc_bar, trunc_under
 
     pairs = list(pairs)
+    # call-local, not a memo: a class also depends on the unhashable registry
     classes: dict = {}
     for mod in itertools.chain.from_iterable(pairs):
         if id(mod) not in classes:

@@ -16,13 +16,16 @@ factoring the action-closure T of S (bar truncation) or the coarser space
 T0 = M0 (x) NL + ML (x) N0 (under truncation).  T is contained in T0 whenever
 both factors are full; whether the two ever differ is unresolved, so the
 strict-inclusion case is surfaced as a research finding, never assumed away.
+
+The data of an ordered pair (M, N) -- M (x) N, S, T, T0 and both truncated
+products -- is computed once and kept on the left factor M, keyed by N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, products_and_series
+from .algebra import LeibnizAlgebra, _memo, products_and_series
 from .bimodule import (
     Bimodule,
     BimoduleError,
@@ -39,6 +42,7 @@ from .bimodule import (
 from .linalg import Matrix, Subspace, nullspace, vec_add, vec_kron
 
 
+@_memo
 def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     if a.algebra != b.algebra:
         raise BimoduleError("tensor product needs a common algebra")
@@ -65,6 +69,7 @@ def image_subspace(p: Matrix, s: Subspace) -> Subspace:
     return Subspace.span(p.field, p.nrows, [p.apply(v) for v in s.basis_vectors()])
 
 
+@_memo
 def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
     """S(M, N): generators from basis quadruples; bilinearity in each of
     x, y, m, n makes basis instances sufficient."""
@@ -102,17 +107,13 @@ class TruncationData:
         return self.t == self.t0
 
 
+@_memo
 def truncation_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T(M, N): action closure of the MLL defect span; defined for weak factors."""
-    return defect_closure(tensor_bimodule(a, b), a, b)
+    return subbimodule_closure(tensor_bimodule(a, b), mll_defect_span(a, b).basis_vectors())
 
 
-def defect_closure(tensor: Bimodule, a: Bimodule, b: Bimodule) -> Subspace:
-    """T(M, N) as a subspace of ``tensor``, the tensor product M (x) N that
-    the caller has already built."""
-    return subbimodule_closure(tensor, mll_defect_span(a, b).basis_vectors())
-
-
+@_memo
 def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T0(M, N) of the under truncation; needs full factors."""
     if not (a.is_full() and b.is_full()):
@@ -128,17 +129,18 @@ def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
 def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:
     t0 = coarse_kernel(a, b)
     s = mll_defect_span(a, b)
-    t = subbimodule_closure(tensor_bimodule(a, b), s.basis_vectors())
+    t = truncation_kernel(a, b)
     contained = t.contains_subspace(s) and t0.contains_subspace(t)
     return TruncationData(s_span=s, t=t, t0=t0, containment_verified=contained)
 
 
+@_memo
 def trunc_bar(a: Bimodule, b: Bimodule) -> Bimodule:
     """(M (x) N) / T(M, N); available for any weak factors."""
-    tensor = tensor_bimodule(a, b)
-    return quotient(tensor, defect_closure(tensor, a, b))
+    return quotient(tensor_bimodule(a, b), truncation_kernel(a, b))
 
 
+@_memo
 def trunc_under(a: Bimodule, b: Bimodule) -> Bimodule:
     """(M (x) N) / T0(M, N); needs full factors."""
     return quotient(tensor_bimodule(a, b), coarse_kernel(a, b))
@@ -213,17 +215,11 @@ def structural_checks(l: Bimodule, m: Bimodule, n: Bimodule) -> dict:
         and right_unit.rho == m.rho
     )
 
-    if m.is_full() and n.is_full():
-        dmn = truncation_data(m, n)
-        dnm = truncation_data(n, m)
-        out["flip_descends_to_truncations"] = (
-            image_subspace(gamma, dmn.t) == dnm.t
-            and image_subspace(gamma, dmn.t0) == dnm.t0
-        )
-    else:
-        out["flip_descends_to_truncations"] = image_subspace(
-            gamma, truncation_kernel(m, n)
-        ) == truncation_kernel(n, m)
+    full = m.is_full() and n.is_full()
+    kernels = (truncation_kernel, coarse_kernel) if full else (truncation_kernel,)
+    out["flip_descends_to_truncations"] = all(
+        image_subspace(gamma, kernel(m, n)) == kernel(n, m) for kernel in kernels
+    )
 
     sum_mn = direct_sum(m, n)
     dims_bar = (

@@ -133,9 +133,9 @@ class TestWorkedExamples:
 
     def test_trunc_bar_builds_one_tensor_product(self, monkeypatch, capsys):
         calls = {"tensor_bimodule": 0}
-        for mod in (leibniz.cli, leibniz.tensor):
-            wrapped = counting(calls, "tensor_bimodule", mod.tensor_bimodule)
-            monkeypatch.setattr(mod, "tensor_bimodule", wrapped)
+        memo = leibniz.tensor.tensor_bimodule
+        wrapped = counting(calls, "tensor_bimodule", memo.__wrapped__)
+        monkeypatch.setattr(memo, "__wrapped__", wrapped)
         code, _, _ = run(capsys, "trunc", "--bar", "--example", "A", "--json")
         assert code == 0 and calls["tensor_bimodule"] == 1
         ad = adjoint(make_A(QQ))
@@ -317,35 +317,62 @@ class TestSeedHandling:
         assert (c.ok, c.details) == (d.ok, d.details)
 
 
-# Malformed input for every subcommand but ``gr``; "{missing}", "{list}" and
-# "{string}" stand for a missing file and files holding a JSON list and a JSON
-# string, not an object.
+# Malformed input for every subcommand but ``gr``; "{missing}" stands for a
+# missing file, and each other placeholder for a file holding that entry of
+# BAD_FILES: a JSON list or string, not an object; an algebra whose table
+# holds a JSON number, not a scalar string, or whose dim is ``true``; and a
+# bimodule whose action holds a JSON number.
+LINE_ALGEBRA = {"field": "Q", "dim": 1, "basis": ["x"], "table": [[["0"]]]}
+BAD_FILES = {
+    "list": "[1, 2]",
+    "string": '"x"',
+    "number_table": json.dumps({**LINE_ALGEBRA, "table": [[[0]]]}),
+    "bool_dim": json.dumps({**LINE_ALGEBRA, "dim": True}),
+    "number_lambda": json.dumps(
+        {"algebra": LINE_ALGEBRA, "dim": 1, "lambda": [[[1]]], "rho": [[["0"]]]}
+    ),
+}
 MODULE_SPECS = ("sym:1/0", "anti:1/0,0,0", "onedim:", "onedim:1", "onedim:1;2;3",
                 "onedim:1/0;0", "file:{missing}", "file:{list}", "file:{string}")
-BAD_INPUTS = [
-    *(
+
+
+def algebra_rows(bads):
+    return [
         (command, *bad)
         for command in ("check", "kernel", "canonical-lie", "bimodule", "tensor", "trunc",
                         "trunc-report", "chop", "envelope")
-        for bad in (
-            ("--field", "Fp:4"),
-            ("--field", "Q:3"),
-            ("--example", "abelian:x"),
-            ("--algebra-file", "{missing}"),
-            ("--algebra-file", "{list}"),
-            ("--algebra-file", "{string}"),
-        )
-    ),
-    *(("bimodule", "--example", "A", "--module", spec) for spec in MODULE_SPECS),
-    *(
-        (command, "--example", "A", option, spec)
-        for command in ("tensor", "trunc", "trunc-report")
-        for option in ("--left", "--right")
-        for spec in MODULE_SPECS
-    ),
-    *(("chop", "--example", "A", "--left", spec) for spec in MODULE_SPECS),
+        for bad in bads
+    ]
+
+
+def module_rows(specs):
+    return [
+        *(("bimodule", "--example", "A", "--module", spec) for spec in specs),
+        *(
+            (command, "--example", "A", option, spec)
+            for command in ("tensor", "trunc", "trunc-report")
+            for option in ("--left", "--right")
+            for spec in specs
+        ),
+        *(("chop", "--example", "A", "--left", spec) for spec in specs),
+    ]
+
+
+BAD_INPUTS = [
+    *algebra_rows((
+        ("--field", "Fp:4"),
+        ("--field", "Q:3"),
+        ("--example", "abelian:x"),
+        ("--algebra-file", "{missing}"),
+        ("--algebra-file", "{list}"),
+        ("--algebra-file", "{string}"),
+    )),
+    *module_rows(MODULE_SPECS),
     ("envelope", "--example", "A", "--cutoff", "-1", "--dims"),
     ("envelope", "--example", "sl2", "--cutoff", "-1", "--hopf"),
+    # JSON numbers where scalars must be strings, and a boolean dim
+    *algebra_rows((("--algebra-file", "{number_table}"), ("--algebra-file", "{bool_dim}"))),
+    *module_rows(("file:{number_lambda}",)),
 ]
 
 
@@ -461,10 +488,10 @@ class TestOneLineErrors:
 
     @pytest.mark.parametrize("argv", BAD_INPUTS)
     def test_bad_input_is_one_line(self, capsys, tmp_path, argv):
-        listed, string = tmp_path / "list.json", tmp_path / "string.json"
-        listed.write_text("[1, 2]", encoding="utf-8")
-        string.write_text('"x"', encoding="utf-8")
-        paths = {"missing": tmp_path / "missing.json", "list": listed, "string": string}
+        paths = {"missing": tmp_path / "missing.json"}
+        for name, text in BAD_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text, encoding="utf-8")
         code, _, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code in (1, 2)
         assert len(err.strip().splitlines()) == 1

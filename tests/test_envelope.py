@@ -104,6 +104,14 @@ class TestPresentations:
         with pytest.raises(EnvelopeError):
             build_presentation(make_e(QQ), "ulweak", 1)
 
+    def test_slices_kept_and_errors_raised_again(self):
+        pres = build_presentation(make_A(QQ), "ulweak", 2)
+        assert pres.ideal_reducer(2) is pres.ideal_reducer(2)
+        assert pres.slice_words(2) is pres.slice_words(2)
+        for _ in range(2):
+            with pytest.raises(EnvelopeError):
+                pres.ideal_reducer(3)
+
 
 class TestLowDegreeDimsOracle:
     """dim(J_top meet F_<=d) = rank J - rank of J on the columns of the

@@ -15,6 +15,7 @@ from leibniz.algebra import (
     sl2_module_matrices,
 )
 from leibniz.bimodule import (
+    Bimodule,
     BimoduleError,
     BimoduleHomCandidate,
     adjoint,
@@ -27,6 +28,7 @@ from leibniz.bimodule import (
 from leibniz.linalg import Matrix, Subspace, unit_vector, vec_kron
 from leibniz.samples import random_full_bimodule, random_weak_bimodule
 from leibniz.tensor import (
+    coarse_kernel,
     flip_matrix,
     mll_defect_span,
     nonassociativity_witness,
@@ -315,3 +317,68 @@ class TestNonassociativity:
     def test_perfect_algebra_refused(self):
         with pytest.raises(BimoduleError):
             nonassociativity_witness(make_S(QQ))
+
+
+class TestPairMemo:
+    """Pair data is computed once per ordered pair and kept on the left factor."""
+
+    PAIR_FUNCTIONS = (tensor_bimodule, mll_defect_span, truncation_kernel, coarse_kernel,
+                      trunc_bar, trunc_under)
+
+    @staticmethod
+    def count_builds(monkeypatch, fns) -> dict:
+        calls = {fn.__name__: 0 for fn in fns}
+        for fn in fns:
+            def body(a, b, fn=fn, inner=fn.__wrapped__):
+                calls[fn.__name__] += 1
+                return inner(a, b)
+
+            monkeypatch.setattr(fn, "__wrapped__", body)
+        return calls
+
+    def test_repeat_calls_return_the_same_object(self):
+        alg = make_A(QQ)
+        a, b = adjoint(alg), sym_line(alg, [1, 0])
+        for fn in self.PAIR_FUNCTIONS:
+            assert fn(a, b) is fn(a, b)
+
+    def test_ordered_pairs_are_separate_entries(self, monkeypatch):
+        alg = make_A(QQ)
+        a, b = adjoint(alg), trivial_bimodule(alg, 2)
+        calls = self.count_builds(monkeypatch, [tensor_bimodule])
+        ab, ba = tensor_bimodule(a, b), tensor_bimodule(b, a)
+        assert ab is not ba and ab.lam != ba.lam
+        assert tensor_bimodule(a, b) is ab and tensor_bimodule(b, a) is ba
+        assert calls == {"tensor_bimodule": 2}
+
+    def test_equal_right_factor_hits_the_same_entry(self, monkeypatch):
+        ad = adjoint(make_A(QQ))
+        copy = Bimodule.from_json(ad.to_json())
+        assert copy is not ad and copy == ad
+        assert hash(copy) == hash(ad)
+        calls = self.count_builds(monkeypatch, self.PAIR_FUNCTIONS)
+        for fn in self.PAIR_FUNCTIONS:
+            assert fn(ad, copy) is fn(ad, ad)
+        assert set(calls.values()) == {1}
+
+    def test_errors_are_raised_on_every_call(self):
+        across = (adjoint(make_A(QQ)), adjoint(make_N(QQ)))
+        weak = random_weak_bimodule(make_A(QQ), 2, random.Random(3))
+        assert not weak.is_full()
+        for _ in range(2):
+            with pytest.raises(BimoduleError, match="common algebra"):
+                tensor_bimodule(*across)
+            with pytest.raises(BimoduleError, match="full bimodules"):
+                trunc_under(weak, weak)
+
+    def test_one_build_of_each_space_per_pair(self, monkeypatch):
+        alg = make_A(QQ)
+        a, b = adjoint(alg), sym_line(alg, [2, 0])
+        calls = self.count_builds(
+            monkeypatch, [tensor_bimodule, mll_defect_span, truncation_kernel, coarse_kernel]
+        )
+        data = truncation_data(a, b)
+        bar, under = trunc_bar(a, b), trunc_under(a, b)
+        assert calls == {name: 1 for name in calls}
+        assert data.t is truncation_kernel(a, b) and data.t0 is coarse_kernel(a, b)
+        assert bar.dim == 2 - data.t.dim and under.dim == 2 - data.t0.dim

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import Matrix, Subspace, commutator, unit_vector, vec_add
+from .linalg import Matrix, Subspace, commutator, induced_on_quotient, unit_vector, vec_add
 
 
 class AlgebraError(ValueError):
@@ -157,22 +157,29 @@ class AlgebraMorphismData:
     matrix: Matrix  # codomain.dim x domain.dim
 
     def is_homomorphism(self) -> bool:
-        dom, cod = self.domain, self.codomain
-        for i in range(dom.dim):
-            for j in range(dom.dim):
-                img_prod = self.matrix.apply(
-                    dom.product(
-                        unit_vector(dom.field, dom.dim, i),
-                        unit_vector(dom.field, dom.dim, j),
-                    )
-                )
-                prod_img = cod.product(
-                    self.matrix.apply(unit_vector(dom.field, dom.dim, i)),
-                    self.matrix.apply(unit_vector(dom.field, dom.dim, j)),
-                )
-                if img_prod != prod_img:
-                    return False
-        return True
+        """P(b_i b_j) = P(b_i) P(b_j), read off the table and the columns."""
+        dom, cod, p = self.domain, self.codomain, self.matrix
+        images = p.columns()
+        return all(
+            p.apply(dom.table[i][j]) == cod.product(images[i], images[j])
+            for i in range(dom.dim)
+            for j in range(dom.dim)
+        )
+
+
+def llm_holds(alg: LeibnizAlgebra, i: int, j: int, mats) -> bool:
+    """The left Leibniz identity mats[b_i b_j] = [mats[i], mats[j]] at one
+    basis pair, for left multiplications, a left action (LLM) or a Lie module."""
+    return expand_product(alg, i, j, mats) == commutator(mats[i], mats[j])
+
+
+def first_llm_failure(alg: LeibnizAlgebra, mats):
+    """The first basis pair (i, j) at which ``llm_holds`` fails, or None."""
+    n = alg.dim
+    return next(
+        ((i, j) for i in range(n) for j in range(n) if not llm_holds(alg, i, j, mats)),
+        None,
+    )
 
 
 def validate_left_leibniz(alg: LeibnizAlgebra):
@@ -182,14 +189,12 @@ def validate_left_leibniz(alg: LeibnizAlgebra):
     pair (i, j); k is the first coordinate where the identity breaks.
     """
     left, _ = mult_ops(alg)
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            diff = expand_product(alg, i, j, left) - commutator(left[i], left[j])
-            for k in range(n):
-                if any(diff.rows[k]):
-                    return (i, j, k)
-    return None
+    pair = first_llm_failure(alg, left)
+    if pair is None:
+        return None
+    i, j = pair
+    diff = expand_product(alg, i, j, left) - commutator(left[i], left[j])
+    return (i, j, next(k for k, row in enumerate(diff.rows) if any(row)))
 
 
 def expand_product(alg: LeibnizAlgebra, i: int, j: int, mats) -> Matrix:
@@ -232,23 +237,18 @@ def leibniz_kernel(alg: LeibnizAlgebra) -> Subspace:
 
 
 def _quotient_table(alg: LeibnizAlgebra, ideal: Subspace):
-    """Structure constants induced on the complement coordinates."""
-    f = alg.field
+    """Structure constants induced on the complement coordinates: the
+    columns of each left multiplication induced on the quotient by an ideal."""
     keep = ideal.complement_coords()
+    left, _ = mult_ops(alg)
     names = [alg.basis_names[j] for j in keep]
-    m = len(keep)
-    table = [[[f.zero()] * m for _ in range(m)] for _ in range(m)]
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            prod = alg.product(
-                unit_vector(f, alg.dim, i), unit_vector(f, alg.dim, j)
-            )
-            table[a][b] = list(ideal.project_to_quotient(prod))
-    return names, table
+    return names, [induced_on_quotient(left[i], ideal).columns() for i in keep]
 
 
 def is_lie(alg: LeibnizAlgebra):
-    """None if antisymmetric + Jacobi hold on all basis triples, else a witness."""
+    """None if antisymmetric + Jacobi hold, else a witness.  Given
+    antisymmetry, Jacobi x(yz) + y(zx) + z(xy) = 0 is the left Leibniz
+    identity, so the "jacobi" witness is that of ``validate_left_leibniz``."""
     f = alg.field
     n = alg.dim
     for i in range(n):
@@ -256,22 +256,8 @@ def is_lie(alg: LeibnizAlgebra):
             s = vec_add(f, alg.table[i][j], alg.table[j][i])
             if any(s):
                 return ("antisymmetry", i, j)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = (unit_vector(f, n, t) for t in (i, j, k))
-                jac = vec_add(
-                    f,
-                    vec_add(
-                        f,
-                        alg.product(alg.product(ei, ej), ek),
-                        alg.product(alg.product(ej, ek), ei),
-                    ),
-                    alg.product(alg.product(ek, ei), ej),
-                )
-                if any(jac):
-                    return ("jacobi", i, j, k)
-    return None
+    failure = validate_left_leibniz(alg)
+    return None if failure is None else ("jacobi", *failure)
 
 
 @_memo
@@ -414,13 +400,13 @@ def hemi_semidirect(g: LeibnizAlgebra, action: list[Matrix], module_names=None):
     for a in action:
         if a.shape != (m, m):
             raise AlgebraError("action matrices must be square of equal size")
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if expand_product(g, i, j, action) != commutator(action[i], action[j]):
-                raise AlgebraError(
-                    "action matrices do not define a Lie module "
-                    f"(pair {g.basis_names[i]}, {g.basis_names[j]})"
-                )
+    pair = first_llm_failure(g, action)
+    if pair is not None:
+        i, j = pair
+        raise AlgebraError(
+            "action matrices do not define a Lie module "
+            f"(pair {g.basis_names[i]}, {g.basis_names[j]})"
+        )
     if module_names is None:
         module_names = [f"m{i}" for i in range(m)]
     n = g.dim + m

@@ -19,9 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, _memo, expand_product, mult_ops, sl2_module_matrices
+from .algebra import LeibnizAlgebra, _memo, expand_product, llm_holds, mult_ops, sl2_module_matrices
 from .fields import Field
-from .linalg import Matrix, Subspace, induced_on_quotient, invert, nullspace
+from .linalg import Matrix, RowReducer, Subspace, induced_on_quotient, invert, nullspace
 
 
 class BimoduleError(ValueError):
@@ -190,9 +190,8 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
     # axiom that reads it still holds
     for i in range(n):
         for j in range(n):
-            li, lj = mod.lam[i], mod.lam[j]
-            ri, rj = mod.rho[i], mod.rho[j]
-            if llm and expand_product(alg, i, j, mod.lam) != li * lj - lj * li:
+            li, ri, rj = mod.lam[i], mod.rho[i], mod.rho[j]
+            if llm and not llm_holds(alg, i, j, mod.lam):
                 llm = False
                 fail("llm", i, j)
             if lml or mll:
@@ -370,43 +369,38 @@ def kernels_and_invariants(mod: Bimodule) -> dict:
 
 def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
     """Smallest subspace containing the seeds and stable under every
-    action matrix; computed by sweeping until a fixed point."""
+    action matrix; each sweep adds to one row reducer the images of the
+    vectors that the last sweep added, until none is new."""
     f = mod.field
     for s in seeds:
         if len(s) != mod.dim:
             raise BimoduleError("seed length mismatch")
-    space = Subspace.span(f, mod.dim, seeds)
-    mats = list(mod.lam) + list(mod.rho)
-    frontier = space.basis_vectors()
+    red = RowReducer(f, mod.dim)
+    red.insert_all(seeds)
+    frontier, mats = red.rows, mod.lam + mod.rho
     while frontier:
-        red = space.reducer()
-        new = []
-        for v in frontier:
-            for m in mats:
-                w = m.apply(v)
-                if red.insert(w, _native=True):
-                    new.append(w)
-        if not new:
-            break
-        space = Subspace(f, mod.dim, red.basis(), tuple(red.pivots))
-        frontier = new
-    return space
+        images = (m.apply(v) for v in frontier for m in mats)
+        frontier = [w for w in images if red.insert(w, _native=True)]
+    return Subspace(f, mod.dim, red.basis(), tuple(red.pivots))
 
 
 def restrict(mod: Bimodule, space: Subspace) -> Bimodule:
-    """Induced actions on an invariant subspace, in its RREF basis."""
-    if not is_invariant(mod, space):
-        raise BimoduleError("subspace is not invariant under both actions")
-    f = mod.field
-    rows = space.basis_vectors()
+    """Induced actions on an invariant subspace, in its RREF basis: each
+    image of a basis row must reduce to zero, and its coordinates are then
+    its entries at the pivots."""
+    red = space.reducer()
 
     def induced(m: Matrix) -> Matrix:
-        red = space.reducer()
-        cols = [red.coords(m.apply(v)) for v in rows]
-        return Matrix(f, cols, len(rows)).transpose()
+        cols = []
+        for v in space.basis_vectors():
+            w = m.apply(v)
+            if not red.contains(w, _native=True):
+                raise BimoduleError("subspace is not invariant under both actions")
+            cols.append([w[p] for p in space.pivots])
+        return Matrix._of(mod.field, cols, space.dim).transpose()
 
     return Bimodule(
-        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho], len(rows)
+        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho], space.dim
     )
 
 

@@ -493,7 +493,9 @@ class ClassRegistry:
     def product_span(self):
         return products_and_series(self.algebra)["product_span"]
 
+    @_memo
     def rule(self) -> FusionRule:
+        """The fusion rule of the labels, built once."""
         if self.kind == "sl2":
             return sl2_rule()
         return weight_rule(self.algebra.field, self.algebra.dim - self.product_span.dim)

@@ -343,9 +343,6 @@ class Subspace:
         }
         return red
 
-    def contains(self, vec: Sequence) -> bool:
-        return self.reducer().contains(vec)
-
     def coordinates(self, vec: Sequence) -> list | None:
         """Coefficients over the RREF basis reconstructing ``vec``, or None."""
         return self.reducer().coords(vec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import LeibnizAlgebra, make_A, make_N, make_e
+from .algebra import LeibnizAlgebra
 from .bimodule import (
     Bimodule,
     antisymmetrize,
@@ -25,6 +25,7 @@ from .bimodule import (
     trivial_bimodule,
 )
 from .linalg import LinAlgError, Matrix, invert
+from .tensor import vanishing_functional
 
 
 def random_invertible(field, n: int, rng: random.Random) -> Matrix:
@@ -57,21 +58,12 @@ def random_one_dim_weak(alg: LeibnizAlgebra, rng: random.Random) -> Bimodule:
 
 
 def random_left_module_matrices(alg: LeibnizAlgebra, dim: int, rng: random.Random):
-    """Left action matrices satisfying LLM for the supported shapes: any
-    matrix for the 1-dim algebra; for the 2-dim solvable and nilpotent
-    algebras the second basis element (the kernel direction, which is a
-    product) must act by zero while the first is free."""
-    f = alg.field
-    rand = lambda: Matrix.from_ints(f, [[rng.randint(-2, 2) for _ in range(dim)]
-                                        for _ in range(dim)])
-    if alg == make_e(f):
-        return [rand()]
-    if alg == make_A(f) or alg == make_N(f):
-        return [rand(), Matrix.zeros(f, dim, dim)]
-    raise ValueError(
-        "random left modules support the 1-dim algebra and the 2-dim "
-        "solvable/nilpotent examples"
-    )
+    """Left action matrices satisfying LLM: one random matrix X, scaled at
+    each basis element by ``tensor.vanishing_functional``.  Products then
+    act by zero and the matrices commute, so LLM holds; a perfect algebra
+    has no such functional and raises ``BimoduleError``."""
+    x = Matrix.from_ints(alg.field, [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+    return [x.scale(c) for c in vanishing_functional(alg)]
 
 
 def random_full_bimodule(

@@ -291,7 +291,8 @@ def check_nonassociativity(seed=0) -> CheckResult:
     if identity_checkers(wr, wr.window(2), trials=50, seed=seed)["associative"].holds:
         probs.append("checker misses the associativity failure")
     props_w = {f["property"] for f in criterion_scan(wr, wr.window(1))}
-    props_s = {f["property"] for f in criterion_scan(sl2_rule(), sl2_rule().window(4))}
+    sl2 = sl2_rule()
+    props_s = {f["property"] for f in criterion_scan(sl2, sl2.window(4))}
     if "associative" not in props_w:
         probs.append("pattern (a) does not fire for the weight rule")
     if not {"alternative", "jordan"} <= props_s:

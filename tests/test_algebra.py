@@ -1,10 +1,13 @@
 """Leibniz algebras: validity, kernels, quotients, series, builders."""
 
+import random
+
 import pytest
 
 from leibniz.fields import QQ, FF
 from leibniz.algebra import (
     AlgebraError,
+    AlgebraMorphismData,
     LeibnizAlgebra,
     builtin_algebra,
     canonical_lie,
@@ -22,7 +25,7 @@ from leibniz.algebra import (
     sl2_module_matrices,
     validate_left_leibniz,
 )
-from leibniz.linalg import Subspace, nullspace, unit_vector
+from leibniz.linalg import Matrix, Subspace, nullspace, unit_vector
 
 
 def hand_check_left_leibniz(alg):
@@ -37,6 +40,23 @@ def hand_check_left_leibniz(alg):
                 rhs1 = alg.product(alg.product(e(i), e(j)), e(k))
                 rhs2 = alg.product(e(j), alg.product(e(i), e(k)))
                 if lhs != tuple(f.add(a, b) for a, b in zip(rhs1, rhs2)):
+                    return (i, j, k)
+    return None
+
+
+def hand_check_jacobi(alg):
+    """Independent oracle: evaluate x(yz) + y(zx) + z(xy) on basis triples."""
+    f = alg.field
+    n = alg.dim
+    e = lambda i: unit_vector(f, n, i)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                terms = [
+                    alg.product(e(a), alg.product(e(b), e(c)))
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                ]
+                if any(f.add(f.add(x, y), z) for x, y, z in zip(*terms)):
                     return (i, j, k)
     return None
 
@@ -183,6 +203,41 @@ class TestCanonicalLie:
         for _ in range(2):
             with pytest.raises(AlgebraError):
                 canonical_lie(alg)
+
+
+class TestIsLie:
+    def test_witness_tags(self):
+        assert is_lie(make_A(QQ)) == ("antisymmetry", 0, 1)
+        z, o = QQ.zero(), QQ.one()
+        table = [[[z] * 3 for _ in range(3)] for _ in range(3)]
+        table[0][1], table[1][0] = [o, z, z], [-o, z, z]
+        table[0][2], table[2][0] = [z, o, z], [z, -o, z]
+        alg = LeibnizAlgebra(QQ, ["a", "b", "c"], table, check=False)
+        assert is_lie(alg) == ("jacobi", *validate_left_leibniz(alg))
+
+    def test_agrees_with_jacobi_on_antisymmetric_tables(self):
+        # every antisymmetric 2-dim product is Lie; most 3-dim ones are not
+        rng = random.Random(5)
+        f = FF(3)
+        verdicts = set()
+        for n in [2] * 10 + [3] * 60:
+            table = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    cell = [rng.choice([0, 0, 0, 1, 2]) for _ in range(n)]
+                    table[i][j], table[j][i] = cell, [f.neg(c) for c in cell]
+            alg = LeibnizAlgebra(f, [f"b{i}" for i in range(n)], table, check=False)
+            verdict = is_lie(alg) is None
+            assert verdict == (hand_check_jacobi(alg) is None)
+            verdicts.add((n, verdict))
+        assert {(2, True), (3, True), (3, False)} <= verdicts
+
+    def test_homomorphism_check_fails_off_products(self):
+        # doubling A is linear but not multiplicative: 2(he) != (2h)(2e)
+        alg = make_A(QQ)
+        assert AlgebraMorphismData(alg, alg, Matrix.identity(QQ, 2)).is_homomorphism()
+        doubled = Matrix.identity(QQ, 2).scale(2)
+        assert not AlgebraMorphismData(alg, alg, doubled).is_homomorphism()
 
 
 class TestSeries:

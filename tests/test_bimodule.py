@@ -28,7 +28,7 @@ from leibniz.bimodule import (
     trivial_bimodule,
 )
 from leibniz.linalg import Matrix, Subspace, unit_vector, vec_add
-from leibniz.samples import random_weak_bimodule
+from leibniz.samples import random_left_module_matrices, random_weak_bimodule
 
 F5 = FF(5)
 
@@ -284,6 +284,25 @@ class TestSubQuotient:
         assert classify_flags(sub)["anti_symmetric"]
         assert sub.lam[0] == Matrix(QQ, [[1]])  # h still scales e by 1
 
+    def test_restrict_agrees_with_the_ambient_action(self):
+        # with the basis rows of S as the columns of B: B * (m on S) == m * B
+        rng = random.Random(11)
+        offset_pivots = 0
+        for alg in (make_A(QQ), make_N(F5), make_e(FF(3))):
+            for _ in range(8):
+                mod = random_weak_bimodule(alg, rng.randint(2, 4), rng)
+                seeds = kernels_and_invariants(mod)["MR"].basis_vectors()
+                seeds.append([rng.randint(-2, 2) for _ in range(mod.dim)])
+                for seed in seeds:
+                    space = subbimodule_closure(mod, [seed])
+                    assert is_invariant(mod, space)
+                    offset_pivots += space.pivots != tuple(range(space.dim))
+                    sub = restrict(mod, space)
+                    b = space.basis.transpose()
+                    for m, s in zip(mod.lam + mod.rho, sub.lam + sub.rho):
+                        assert b * s == m * b
+        assert offset_pivots
+
     def test_quotient_by_zero_is_same(self):
         ad = adjoint(make_A(QQ))
         q = quotient(ad, Subspace.zero(QQ, 2))
@@ -311,6 +330,27 @@ class TestSubQuotient:
         ad = adjoint(make_S(QQ))
         ker = kernels_and_invariants(ad)["M0"]
         assert quotient(ad, ker).dim == ad.dim - ker.dim
+
+
+class TestRandomLeftModules:
+    def test_llm_holds(self):
+        rng = random.Random(3)
+        for alg in (make_e(QQ), make_A(FF(3)), make_N(QQ), make_abelian(F5, 2)):
+            for dim in (1, 2, 3):
+                lam = random_left_module_matrices(alg, dim, rng)
+                assert symmetrize(alg, lam, dim).is_full()
+
+    def test_products_act_by_zero_and_draws_are_kept(self):
+        # one random matrix per call, on the basis element off the product span
+        ours, ref = random.Random(7), random.Random(7)
+        lam = random_left_module_matrices(make_A(QQ), 2, ours)
+        x = Matrix.from_ints(QQ, [[ref.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        assert lam == [x, Matrix.zeros(QQ, 2, 2)]
+        assert ours.random() == ref.random()
+
+    def test_perfect_algebra_refused(self):
+        with pytest.raises(BimoduleError, match="perfect"):
+            random_left_module_matrices(make_sl2(QQ), 2, random.Random(0))
 
 
 class TestDirectSum:

@@ -169,6 +169,57 @@ class TestWorkedExamples:
         assert code == 0
         assert all(json.loads(out)["hopf"].values())
 
+    def test_envelope_primitive_and_homs(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "envelope", "--example", "A", "--which", "ulweak", "--cutoff", "2",
+            "--primitive", "--homs", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degree_one_primitive_dim"] == 3
+        assert set(doc["homs"]) == {"d0", "d1", "s0", "omega", "d0_s0", "d1_s0", "kernel_product"}
+        assert all(doc["homs"].values())
+
+    def test_tensor_of_a_valid_pair(self, capsys):
+        # M (x) N of full factors is weak; MLL fails exactly when the defect
+        # span is nonzero
+        code, out, _ = run(
+            capsys, "tensor", "--example", "A", "--left", "sym:1,0", "--right", "adjoint", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dim"] == 2
+        assert doc["axioms"] == {"llm": True, "lml": True, "mll": False, "kind": "weak"}
+        assert doc["defect_span_dim"] == 1 and doc["mll_iff_defect_zero"]
+
+    def test_chop_json_carries_the_scalars_of_lines(self, capsys):
+        code, out, _ = run(capsys, "chop", "--example", "A", "--json")
+        assert code == 0
+        factors = json.loads(out)["factors"]
+        assert [(f["left_scalars"], f["right_scalars"]) for f in factors] == [
+            (["1", "0"], ["0", "0"]),
+            (["0", "0"], ["0", "0"]),
+        ]
+        assert [f["anti_symmetric"] for f in factors] == [True, True]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_paper_suite_reports_the_known_red(self, capsys, as_json):
+        # 10a states a stronger law than holds (README "Known red")
+        code, out, _ = run(capsys, "paper-suite", "--seed", "0", *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            doc = json.loads(out)
+            assert (doc["seed"], doc["passed"], doc["failed"]) == (0, 11, 1)
+            assert [c["id"] for c in doc["checks"] if not c["ok"]] == ["10a-weight-identity-laws"]
+        else:
+            lines = out.splitlines()
+            assert lines[-1] == "11 passed, 1 failed"
+            assert [l for l in lines if l.startswith("FAIL")][0].startswith(
+                "FAIL  10a-weight-identity-laws: "
+            )
+            assert sum(l.startswith("PASS  ") for l in lines) == 11
+
     def test_chop_sl2_module(self, capsys):
         code, out, _ = run(
             capsys, "chop", "--example", "sl2", "--left", "sym:L1", "--json"

@@ -223,6 +223,19 @@ class TestIdentityCheckers:
         with pytest.raises(GrothError):
             identity_checkers(WR, [], trials=0, seed=0)
 
+    def test_associative_rule_passes_every_law(self):
+        # Z on the anti side makes the star product associative, so the
+        # random triples after the window's triples run too
+        rule = star_product(group_base(QQ, 1), integer_base())
+        out = identity_checkers(rule, trials=200, seed=0)
+        assert {k: (v.holds, v.tested) for k, v in out.items()} == {
+            "commutative": (True, 175),
+            "associative": (True, 191),
+            "alternative": (True, 175),
+            "jordan": (True, 175),
+            "power_associative": (True, 215),
+        }
+
 
 class TestCriterionScan:
     def test_weight_fires_associative_only(self):
@@ -325,6 +338,10 @@ class TestClasses:
         weak = one_dim_bimodule(alg, [0], [1])
         with pytest.raises(GrothError):
             class_of_bimodule(weak, ClassRegistry("weight", alg))
+
+    def test_registry_builds_its_rule_once(self):
+        for reg in (ClassRegistry("sl2", make_sl2(QQ)), ClassRegistry("weight", make_A(QQ))):
+            assert reg.rule() is reg.rule()
 
     def test_registry_rule_from_lie_quotient_identical(self):
         # the rule depends only on the quotient data: building it for the

@@ -205,6 +205,12 @@ class TestTruncationCollapse:
         assert out["all_hold"]
         assert out["data"].t.dim == 0
 
+    def test_anti_symmetric_right_factor(self):
+        alg = make_A(QQ)
+        out = truncation_collapse_check(adjoint(alg), anti_line(alg, [1, 0]))
+        assert out["cases"] == {"right_anti_symmetric": True}
+        assert out["all_hold"]
+
     def test_kernel_data_once_per_factor(self, monkeypatch):
         from leibniz.bimodule import kernels_and_invariants
 

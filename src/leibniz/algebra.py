@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import Matrix, Subspace, commutator, induced_on_quotient, unit_vector, vec_add
+from .linalg import Matrix, Subspace, commutator, induced_on_quotient, vec_add
 
 
 class AlgebraError(ValueError):
@@ -49,8 +49,8 @@ def _memo(fn):
 class LeibnizAlgebra:
     """Structure-constant algebra over an exact field; immutable.
 
-    Derived data (Leibniz kernel, Lie quotient, product span and series)
-    is computed once per instance and memoized on it.
+    Derived data (the left Leibniz check, Leibniz kernel, Lie quotient,
+    product span and series) is computed once per instance and memoized on it.
     """
 
     def __init__(self, field: Field, basis_names, table, check: bool = True):
@@ -182,6 +182,7 @@ def first_llm_failure(alg: LeibnizAlgebra, mats):
     )
 
 
+@_memo
 def validate_left_leibniz(alg: LeibnizAlgebra):
     """None if valid; else the first failing (i, j, k).
 
@@ -270,11 +271,7 @@ def canonical_lie(alg: LeibnizAlgebra):
     witness = is_lie(quot)
     if witness is not None:
         raise AlgebraError(f"quotient failed Lie check: {witness}")
-    cols = [
-        ker.project_to_quotient(unit_vector(f, alg.dim, j)) for j in range(alg.dim)
-    ]
-    proj = Matrix(f, cols, quot.dim).transpose()
-    return quot, AlgebraMorphismData(alg, quot, proj)
+    return quot, AlgebraMorphismData(alg, quot, ker.quotient_map())
 
 
 @_memo

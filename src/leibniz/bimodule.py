@@ -352,9 +352,7 @@ def kernels_and_invariants(mod: Bimodule) -> dict:
     m0 = column_span(f, [l + r for l, r in zip(mod.lam, mod.rho)], mod.dim)
     mr = column_span(f, mod.rho, mod.dim)
     lm = column_span(f, mod.lam, mod.dim)
-    minv = Subspace.full(f, mod.dim)
-    for r in mod.rho:
-        minv = minv.intersect(nullspace(r))
+    minv = nullspace(Matrix._of(f, [row for r in mod.rho for row in r.rows], mod.dim))
     return {
         "M0": m0,
         "MR": mr,

@@ -404,9 +404,7 @@ def oracle_composition_factors(mod: Bimodule, lattice=None) -> list[FactorInfo]:
         )
         quot = quotient(mod, current)
         image = Subspace.span(
-            mod.field,
-            quot.dim,
-            [current.project_to_quotient(v) for v in step.basis_vectors()],
+            mod.field, quot.dim, map(current.quotient_map().apply, step.basis.rows), _native=True
         )
         factors.append(factor_info(restrict(quot, image), certified=True))
         current = step

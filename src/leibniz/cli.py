@@ -160,21 +160,16 @@ def emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_check(args):
-    algebra = resolve_algebra(args)
-    failure = alg_mod.validate_left_leibniz(algebra)
+    algebra = resolve_algebra(args)  # refuses an algebra that fails the identity
     report = {
         "command": "check",
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),
-        "valid": failure is None,
+        "valid": True,
     }
-    if failure is not None:
-        i, j, k = failure
-        names = algebra.basis_names
-        report["first_failure"] = f"pair ({names[i]}, {names[j]}), coordinate {names[k]}"
     if args.dump:
         report["algebra"] = json.loads(algebra.to_json())
-    return report, failure is None
+    return report, True
 
 
 def cmd_kernel(args):

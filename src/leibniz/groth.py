@@ -514,15 +514,9 @@ class ClassRegistry:
         if self.kind == "sl2":
             return sl2_irreducible(self.algebra, label.tag, label.kind)
         f = self.algebra.field
-        span = self.product_span
-        keep = span.complement_coords()
-        values = [f.zero()] * self.algebra.dim
-        for j, t in zip(keep, label.tag):
-            values[j] = f.coerce(t)
-        # an RREF row of the span has a 1 at its pivot and zeros at the
-        # other pivots, so vanishing on it fixes the value at the pivot
-        for p, x in zip(span.pivots, span.basis.apply(values)):
-            values[p] = f.neg(x)
+        # the functional that vanishes on the product span and reads the tag
+        # at its complement coordinates: P^T tag for the quotient map P
+        values = (Matrix(f, [label.tag]) * self.product_span.quotient_map()).rows[0]
         build = symmetrize if label.kind == "sym" else antisymmetrize
         return build(self.algebra, [Matrix(f, [[v]]) for v in values], 1)
 

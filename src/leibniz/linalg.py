@@ -4,7 +4,10 @@ Everything here is pure and value-semantic: matrices are tuples of tuples
 of scalars, subspaces are row-reduced basis matrices, and the row reducer
 keeps ``{column: scalar}`` rows.  Reduced row echelon form is the
 canonical representative of a subspace, so two spanning sets of the same
-space always produce equal ``Subspace`` objects.  There is one
+space always produce equal ``Subspace`` objects.  Quotients are read off it
+too: ``Subspace.quotient_map`` projects F^n onto F^n / S in the complement
+(non-pivot) coordinates of S, and its rows span the annihilator of S, which
+is how ``nullspace`` finds a right kernel.  There is one
 characteristic polynomial, valid in every characteristic; the eigenvalues
 in the field are its roots and the determinant is read off it.
 
@@ -261,12 +264,6 @@ class RowReducer:
         v = self._eliminate(self._sparse(vec, _native))
         return v if isinstance(vec, dict) else self._dense(v)
 
-    def coords(self, vec) -> list | None:
-        """Coefficients of ``vec`` over the current basis, or None."""
-        v = self._sparse(vec)
-        cs = [v.get(p, self.field.zero()) for p in self.pivots]
-        return None if self._eliminate(v) else cs
-
     def contains(self, vec, _native: bool = False) -> bool:
         return not self._eliminate(self._sparse(vec, _native))
 
@@ -343,10 +340,6 @@ class Subspace:
         }
         return red
 
-    def coordinates(self, vec: Sequence) -> list | None:
-        """Coefficients over the RREF basis reconstructing ``vec``, or None."""
-        return self.reducer().coords(vec)
-
     def contains_subspace(self, other: "Subspace") -> bool:
         red = self.reducer()
         return all(red.contains(v, _native=True) for v in other.basis.rows)
@@ -388,10 +381,21 @@ class Subspace:
         """Indices of standard basis vectors spanning a complement."""
         return [j for j in range(self.ambient_dim) if j not in self.pivots]
 
-    def project_to_quotient(self, vec: Sequence) -> tuple:
-        """Coordinates of ``vec + self`` on the complement basis."""
-        residual = self.reducer().reduce(vec)
-        return tuple(residual[j] for j in self.complement_coords())
+    def quotient_map(self) -> Matrix:
+        """The projection F^n -> F^n / self in complement coordinates, read
+        off the RREF basis B: column j is the unit vector of j for a
+        complement coordinate j, and minus row i of B at the complement
+        coordinates when j is the pivot of row i.  So P B^T = 0, and the
+        rows of P span the annihilator of ``self``."""
+        f, n = self.field, self.ambient_dim
+        zero, one, rows = f.zero(), f.one(), []
+        for c in self.complement_coords():
+            row = [zero] * n
+            row[c] = one
+            for pivot, b in zip(self.pivots, self.basis.rows):
+                row[pivot] = -b[c]
+            rows.append(_mod(f.characteristic, row))
+        return Matrix._of(f, rows, n)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
@@ -399,22 +403,10 @@ class Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Right kernel {v : M v = 0}."""
-    f = m.field
-    red = RowReducer(f, m.ncols)
-    red.insert_all(m.rows, _native=True)
-    pivots = set(red.pivots)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    rows = list(zip(red.rows, red.pivots))
-    basis = []
-    one, zero = f.one(), f.zero()
-    for j in free:
-        v = [zero] * m.ncols
-        v[j] = one
-        for row, p in rows:
-            v[p] = -row[j]
-        basis.append(_mod(f.characteristic, v))
-    return Subspace.span(f, m.ncols, basis, _native=True)
+    """Right kernel {v : M v = 0}: the span of the rows of the quotient
+    map by the row space of M."""
+    rowspace = Subspace.span(m.field, m.ncols, m.rows, _native=True)
+    return Subspace.span(m.field, m.ncols, rowspace.quotient_map().rows, _native=True)
 
 
 def rank(m: Matrix) -> int:

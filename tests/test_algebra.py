@@ -282,6 +282,17 @@ class TestBuilders:
         with pytest.raises(AlgebraError):
             hemi_semidirect(make_sl2(QQ), mats)
 
+    @pytest.mark.parametrize("g, action, message", [
+        (make_A(QQ), [Matrix.zeros(QQ, 1, 1)] * 2, "needs a Lie algebra"),
+        (make_sl2(QQ), [Matrix.zeros(QQ, 2, 2)] * 2, "one action matrix per"),
+        (make_sl2(QQ), [Matrix.zeros(QQ, 2, 2)] * 2 + [Matrix.zeros(QQ, 1, 1)],
+         "square of equal size"),
+        (make_sl2(QQ), [Matrix.zeros(QQ, 2, 3)] * 3, "square of equal size"),
+    ])
+    def test_hemi_refuses_bad_input(self, g, action, message):
+        with pytest.raises(AlgebraError, match=message):
+            hemi_semidirect(g, action)
+
     def test_sl2_char2_rejected(self):
         with pytest.raises(AlgebraError):
             make_sl2(FF(2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz.fields import QQ, FF
-from leibniz.algebra import make_A, make_N, make_S, make_abelian, make_e, make_sl2
+from leibniz.algebra import builtin_algebra, make_A, make_N, make_S, make_abelian, make_e, make_sl2
 from leibniz.bimodule import (
     Bimodule,
     BimoduleError,
@@ -27,7 +27,7 @@ from leibniz.bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, Subspace, unit_vector, vec_add
+from leibniz.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add
 from leibniz.samples import random_left_module_matrices, random_weak_bimodule
 
 F5 = FF(5)
@@ -265,6 +265,19 @@ class TestKernels:
             assert data["MR_invariant"]
             assert data["Minv_invariant"]
 
+    def test_right_invariants_are_the_meet_of_right_kernels(self):
+        rng = random.Random(14)
+        algebras = [make_e(QQ), make_A(QQ), make_N(F5), make_abelian(QQ, 2), make_abelian(FF(3), 2)]
+        mods = [random_weak_bimodule(rng.choice(algebras), rng.randint(1, 4), rng) for _ in range(20)]
+        for mod in mods + [adjoint(make_S(QQ)), adjoint(make_sl2(F5))]:
+            meet = Subspace.full(mod.field, mod.dim)
+            for r in mod.rho:
+                meet = meet.intersect(nullspace(r))
+            assert kernels_and_invariants(mod)["Minv"] == meet
+        # no right actions at all: every vector is right invariant
+        mod = trivial_bimodule(builtin_algebra("abelian:0", QQ), 3)
+        assert kernels_and_invariants(mod)["Minv"] == Subspace.full(QQ, 3)
+
 
 class TestSubQuotient:
     def test_closure_of_nothing_is_zero(self):
@@ -325,6 +338,11 @@ class TestSubQuotient:
         ad = adjoint(make_A(QQ))
         with pytest.raises(BimoduleError):
             restrict(ad, Subspace.span(QQ, 2, [(1, 0)]))
+
+    def test_quotient_by_non_invariant_rejected(self):
+        ad = adjoint(make_A(QQ))
+        with pytest.raises(BimoduleError, match="not invariant"):
+            quotient(ad, Subspace.span(QQ, 2, [(1, 0)]))
 
     def test_dims_add_in_quotient(self):
         ad = adjoint(make_S(QQ))

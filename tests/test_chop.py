@@ -83,6 +83,10 @@ class TestChopExamples:
         assert rep.dims == [1]
         assert not rep.certified
 
+    def test_non_weak_input_rejected(self):
+        with pytest.raises(BimoduleError, match="at least a weak bimodule"):
+            chop(one_dim_bimodule(make_A(QQ), [0, 1], [0, 0]))
+
     def test_certification_only_for_full_inputs(self):
         # random weak samples may happen to be full; certification must
         # track exactly that distinction

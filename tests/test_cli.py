@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import leibniz.algebra
 import leibniz.bimodule
 import leibniz.cli
 import leibniz.tensor
@@ -84,6 +85,15 @@ class TestRoundTrips:
         code, _, err = run(capsys, "check", "--algebra-file", str(p))
         assert code == 1 and "error" in err
 
+    def test_invalid_algebra_file_refused(self, tmp_path, capsys):
+        # h e = e h = e breaks the identity at the pair (e, h)
+        p = tmp_path / "bad.json"
+        p.write_text("""{"field": "Q", "dim": 2, "basis": ["h", "e"],
+        "table": [[["0","0"],["0","1"]],[["0","1"],["0","0"]]]}""")
+        code, out, err = run(capsys, "check", "--algebra-file", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: left Leibniz identity fails at (e, h, e)\n"
+
     def test_bimodule_file_with_algebra_path(self, tmp_path, capsys):
         alg_path = tmp_path / "alg.json"
         alg_path.write_text(make_A(QQ).to_json())
@@ -141,6 +151,14 @@ class TestWorkedExamples:
         ad = adjoint(make_A(QQ))
         assert leibniz.tensor.trunc_bar(ad, ad).dim == 3
         assert calls["tensor_bimodule"] == 2
+
+    def test_canonical_lie_validates_each_algebra_once(self, monkeypatch, capsys):
+        # sl2, the hemi-semidirect product and its Lie quotient
+        calls = {"validate": 0}
+        memo = leibniz.algebra.validate_left_leibniz
+        monkeypatch.setattr(memo, "__wrapped__", counting(calls, "validate", memo.__wrapped__))
+        code, _, _ = run(capsys, "canonical-lie", "--example", "hemi-sl2-L1")
+        assert code == 0 and calls["validate"] == 3
 
     def test_trunc_report_nilpotent_char2(self, capsys):
         code, out, _ = run(

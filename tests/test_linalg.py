@@ -180,10 +180,12 @@ class TestSubspaceOps:
         assert u.sum(v).dim + u.intersect(v).dim == u.dim + v.dim
 
     def test_membership_coordinates_reconstruct(self):
+        # v lies in s exactly when the quotient map kills it, and then its
+        # coordinates over the RREF basis are its entries at the pivots
         s = Subspace.span(QQ, 3, [(1, 2, 0), (0, 0, 3)])
         v = (2, 4, 5)
-        coords = s.coordinates(v)
-        assert coords is not None
+        assert s.quotient_map().apply(v) == (0,)
+        coords = [v[p] for p in s.pivots]
         recon = [0, 0, 0]
         for c, row in zip(coords, s.basis.rows):
             for j in range(3):
@@ -191,16 +193,16 @@ class TestSubspaceOps:
         assert tuple(recon) == tuple(map(Fraction, v))
 
     def test_membership_trivia(self):
-        s = Subspace.span(QQ, 2, [(1, 0)])
-        assert s.coordinates((0, 0)) == [0]  # zero vector: zero coords
-        assert s.coordinates((1, 0)) == [1]
-        assert s.coordinates((0, 1)) is None
+        q = Subspace.span(QQ, 2, [(1, 0)]).quotient_map()
+        assert q.apply((0, 0)) == (0,)  # zero vector: zero image
+        assert q.apply((1, 0)) == (0,)
+        assert q.apply((0, 1)) == (1,)
 
     def test_quotient_projection(self):
         s = Subspace.span(QQ, 3, [(1, 1, 0)])
         assert s.complement_coords() == [1, 2]
-        assert s.project_to_quotient((1, 1, 0)) == (0, 0)
-        assert s.project_to_quotient((1, 0, 2)) == (-1, 2)
+        assert s.quotient_map().apply((1, 1, 0)) == (0, 0)
+        assert s.quotient_map().apply((1, 0, 2)) == (-1, 2)
 
 
 class TestKron:
@@ -252,9 +254,9 @@ class TestShape:
     def test_empty_span_basis_shape(self):
         assert Subspace.zero(QQ, 4).basis.shape == (0, 4)
 
-    def test_coordinates_check_vector_length(self):
+    def test_quotient_map_checks_vector_length(self):
         with pytest.raises(LinAlgError):
-            Subspace.span(QQ, 2, [(1, 0)]).coordinates((1, 0, 0))
+            Subspace.span(QQ, 2, [(1, 0)]).quotient_map().apply((1, 0, 0))
 
     def test_induced_on_quotient(self):
         # the shift e1 -> e0 -> 0 keeps span{e0}; on the quotient it is zero

@@ -97,6 +97,12 @@ class TestTensorBimodule:
         with pytest.raises(BimoduleError):
             tensor_bimodule(adjoint(make_A(QQ)), adjoint(make_N(QQ)))
 
+    def test_non_weak_factor_rejected(self):
+        not_weak = one_dim_bimodule(make_A(QQ), [0, 1], [0, 0])  # LLM fails
+        for a, b in ((not_weak, adjoint(make_A(QQ))), (adjoint(make_A(QQ)), not_weak)):
+            with pytest.raises(BimoduleError, match="needs weak factors"):
+                tensor_bimodule(a, b)
+
 
 class TestTruncationData:
     def test_solvable_adjoint_square(self):
@@ -278,10 +284,7 @@ class TestStructuralChecks:
         q1 = trunc_bar(ad, ad)
         q2 = trunc_bar(ad, ad)  # symmetric factors, same space both ways
         keep = data.t.complement_coords()
-        cols = [
-            data.t.project_to_quotient(gamma.apply(unit_vector(QQ, 4, j)))
-            for j in keep
-        ]
+        cols = [data.t.quotient_map().apply(gamma.apply(unit_vector(QQ, 4, j))) for j in keep]
         induced = Matrix(
             QQ, [[cols[j][i] for j in range(len(keep))] for i in range(len(keep))]
         )

@@ -243,7 +243,7 @@ def _quotient_table(alg: LeibnizAlgebra, ideal: Subspace):
     keep = ideal.complement_coords()
     left, _ = mult_ops(alg)
     names = [alg.basis_names[j] for j in keep]
-    return names, [induced_on_quotient(left[i], ideal).columns() for i in keep]
+    return names, [m.columns() for m in induced_on_quotient([left[i] for i in keep], ideal)]
 
 
 def is_lie(alg: LeibnizAlgebra):

@@ -1,8 +1,11 @@
 """Two-sided modules over a Leibniz algebra as matrix pairs.
 
 A bimodule on F^m is a pair of families (lam_i, rho_i) of m x m matrices,
-one per algebra basis element, acting on the left and right.  The three
-compatibility axioms, as operator identities per basis pair (x, y):
+one per algebra basis element, acting on the left and right, kept as one
+action family ``actions`` = (lam_1..lam_n, rho_1..rho_n).  Constructions
+that treat every action alike (conjugates, sums, tensor and hom spaces,
+sub- and quotient bimodules) map that family.  The three compatibility
+axioms, as operator identities per basis pair (x, y):
 
   (LLM)  lam_{xy} = lam_x lam_y - lam_y lam_x
   (LML)  rho_{xy} = lam_x rho_y - rho_y lam_x
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 from .algebra import LeibnizAlgebra, _memo, expand_product, llm_holds, mult_ops, sl2_module_matrices
 from .fields import Field
-from .linalg import Matrix, RowReducer, Subspace, induced_on_quotient, invert, nullspace
+from .linalg import (LinAlgError, Matrix, RowReducer, Subspace, induced_on_quotient,
+                     induced_on_subspace, invert, nullspace)
 
 
 class BimoduleError(ValueError):
@@ -46,6 +50,7 @@ class AxiomReport:
 class Bimodule:
     """Matrix realization of a two-sided module; immutable after creation.
 
+    ``actions`` holds the left actions ``lam``, then the right ones ``rho``.
     ``dim`` is required only when the algebra has no basis, so that there
     are no action matrices to read it off.  Derived data (the hash, the
     axiom report, the kernels and invariants, the pair data of ``tensor``
@@ -55,11 +60,11 @@ class Bimodule:
     def __init__(self, algebra: LeibnizAlgebra, lam, rho, dim: int | None = None):
         self._derived: dict = {}
         self.algebra = algebra
-        self.lam = tuple(lam)
-        self.rho = tuple(rho)
+        self.lam, self.rho = tuple(lam), tuple(rho)
         if len(self.lam) != algebra.dim or len(self.rho) != algebra.dim:
             raise BimoduleError("one action matrix per algebra basis element")
-        shapes = {m.shape for m in self.lam + self.rho}
+        self.actions = self.lam + self.rho
+        shapes = {m.shape for m in self.actions}
         if len(shapes) > 1:
             raise BimoduleError("action matrices of unequal sizes")
         if not shapes:
@@ -72,6 +77,12 @@ class Bimodule:
         if dim is not None and dim != rows:
             raise BimoduleError(f"declared dim {dim} disagrees with {rows} x {rows} matrices")
         self.dim = rows
+
+    def with_actions(self, actions: list, dim: int) -> "Bimodule":
+        """The bimodule of dimension ``dim`` over the same algebra with the
+        action family ``actions``, ordered as ``self.actions`` is."""
+        n = self.algebra.dim
+        return Bimodule(self.algebra, actions[:n], actions[n:], dim)
 
     @property
     def field(self) -> Field:
@@ -96,13 +107,12 @@ class Bimodule:
             isinstance(other, Bimodule)
             and self.algebra == other.algebra
             and self.dim == other.dim
-            and self.lam == other.lam
-            and self.rho == other.rho
+            and self.actions == other.actions
         )
 
     @_memo
     def __hash__(self):
-        return hash((self.algebra, self.dim, self.lam, self.rho))
+        return hash((self.algebra, self.dim, self.actions))
 
     def __repr__(self):
         return f"Bimodule(dim {self.dim} over {self.algebra!r})"
@@ -166,13 +176,7 @@ class BimoduleHomCandidate:
         if self.domain.algebra != self.codomain.algebra:
             return False
         b = self.matrix
-        for ls, lt in zip(self.domain.lam, self.codomain.lam):
-            if b * ls != lt * b:
-                return False
-        for rs, rt in zip(self.domain.rho, self.codomain.rho):
-            if b * rs != rt * b:
-                return False
-        return True
+        return all(b * s == t * b for s, t in zip(self.domain.actions, self.codomain.actions))
 
 
 def axiom_report(mod: Bimodule) -> AxiomReport:
@@ -283,12 +287,7 @@ def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimo
 def conjugate(mod: Bimodule, p: Matrix) -> Bimodule:
     """Isomorphic copy through an invertible change of basis."""
     pinv = invert(p)
-    return Bimodule(
-        mod.algebra,
-        [p * m * pinv for m in mod.lam],
-        [p * m * pinv for m in mod.rho],
-        mod.dim,
-    )
+    return mod.with_actions([p * m * pinv for m in mod.actions], mod.dim)
 
 
 def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
@@ -303,12 +302,7 @@ def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
         rows += [[z] * m + list(r) for r in y.rows]
         return Matrix(f, rows)
 
-    return Bimodule(
-        a.algebra,
-        [block(x, y) for x, y in zip(a.lam, b.lam)],
-        [block(x, y) for x, y in zip(a.rho, b.rho)],
-        m + n,
-    )
+    return a.with_actions(list(map(block, a.actions, b.actions)), m + n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +310,11 @@ def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
 
 
 def column_span(field: Field, mats, dim: int) -> Subspace:
-    vecs = []
-    for m in mats:
-        vecs.extend(m.columns())
-    return Subspace.span(field, dim, vecs, _native=True)
+    return Subspace.span(field, dim, [c for m in mats for c in m.columns()], _native=True)
 
 
 def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
-    mats = []
-    if side in ("left", "both"):
-        mats += list(mod.lam)
-    if side in ("right", "both"):
-        mats += list(mod.rho)
+    mats = {"left": mod.lam, "right": mod.rho, "both": mod.actions}[side]
     red = space.reducer()
     return all(
         red.contains(m.apply(v), _native=True) for m in mats for v in space.basis_vectors()
@@ -375,43 +362,29 @@ def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
             raise BimoduleError("seed length mismatch")
     red = RowReducer(f, mod.dim)
     red.insert_all(seeds)
-    frontier, mats = red.rows, mod.lam + mod.rho
+    frontier = red.rows
     while frontier:
-        images = (m.apply(v) for v in frontier for m in mats)
+        images = (m.apply(v) for v in frontier for m in mod.actions)
         frontier = [w for w in images if red.insert(w, _native=True)]
     return Subspace(f, mod.dim, red.basis(), tuple(red.pivots))
 
 
 def restrict(mod: Bimodule, space: Subspace) -> Bimodule:
-    """Induced actions on an invariant subspace, in its RREF basis: each
-    image of a basis row must reduce to zero, and its coordinates are then
-    its entries at the pivots."""
-    red = space.reducer()
-
-    def induced(m: Matrix) -> Matrix:
-        cols = []
-        for v in space.basis_vectors():
-            w = m.apply(v)
-            if not red.contains(w, _native=True):
-                raise BimoduleError("subspace is not invariant under both actions")
-            cols.append([w[p] for p in space.pivots])
-        return Matrix._of(mod.field, cols, space.dim).transpose()
-
-    return Bimodule(
-        mod.algebra, [induced(m) for m in mod.lam], [induced(m) for m in mod.rho], space.dim
-    )
+    """Induced actions on an invariant subspace, in its RREF basis."""
+    return _induced(mod, space, induced_on_subspace, space.dim)
 
 
 def quotient(mod: Bimodule, space: Subspace) -> Bimodule:
     """Induced actions on M/S, in the complement coordinates of S."""
-    if not is_invariant(mod, space):
-        raise BimoduleError("subspace is not invariant under both actions")
-    return Bimodule(
-        mod.algebra,
-        [induced_on_quotient(m, space) for m in mod.lam],
-        [induced_on_quotient(m, space) for m in mod.rho],
-        mod.dim - space.dim,
-    )
+    return _induced(mod, space, induced_on_quotient, mod.dim - space.dim)
+
+
+def _induced(mod: Bimodule, space: Subspace, induce, dim: int) -> Bimodule:
+    try:
+        actions = induce(mod.actions, space)
+    except LinAlgError as exc:
+        raise BimoduleError(str(exc)) from None
+    return mod.with_actions(actions, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +405,8 @@ def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
     f = src.field
     im = Matrix.identity(f, src.dim)
     iN = Matrix.identity(f, dst.dim)
-    lam = [
-        lt.kron(im) - iN.kron(ls.transpose()) for ls, lt in zip(src.lam, dst.lam)
-    ]
-    rho = [
-        rt.kron(im) - iN.kron(rs.transpose()) for rs, rt in zip(src.rho, dst.rho)
-    ]
-    return Bimodule(src.algebra, lam, rho, src.dim * dst.dim)
+    actions = [t.kron(im) - iN.kron(s.transpose()) for s, t in zip(src.actions, dst.actions)]
+    return src.with_actions(actions, src.dim * dst.dim)
 
 
 def dual(mod: Bimodule) -> Bimodule:

@@ -191,7 +191,7 @@ def _left_module_highest_weights(e: Matrix, h: Matrix, fmat: Matrix, field):
         if space.dim != n + 1:
             raise BimoduleError("highest-weight string collapsed unexpectedly")
         weights.append(n)
-        e, h, fmat = (induced_on_quotient(m, space) for m in (e, h, fmat))
+        e, h, fmat = induced_on_quotient((e, h, fmat), space)
     return weights
 
 
@@ -239,7 +239,7 @@ def _proper_spin(mod: Bimodule, vectors) -> Subspace | None:
 
 
 def _random_elements(mod: Bimodule, rng: random.Random, count: int):
-    mats = list(mod.lam) + list(mod.rho)
+    mats = mod.actions
     out = []
     for _ in range(count):
         acc = Matrix.zeros(mod.field, mod.dim, mod.dim)
@@ -279,12 +279,7 @@ def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
     if found is None and not exhaustive:
         # look for invariant subspaces of the transposed actions; the
         # annihilator of such a subspace is invariant for the originals
-        transposed = Bimodule(
-            mod.algebra,
-            [m.transpose() for m in mod.lam],
-            [m.transpose() for m in mod.rho],
-            mod.dim,
-        )
+        transposed = mod.with_actions([m.transpose() for m in mod.actions], mod.dim)
         tprobes = [unit_vector(field, d, i) for i in range(d)]
         tfound = _proper_spin(transposed, tprobes)
         if tfound is not None:
@@ -315,8 +310,7 @@ def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
     def recurse(m: Bimodule) -> tuple[list, bool]:
         if m.dim == 0:
             return [], True
-        mats = list(m.lam) + list(m.rho)
-        vec = common_eigenvector(mats, m.field, m.dim)
+        vec = common_eigenvector(m.actions, m.field, m.dim)
         if vec is not None:
             if "weight" not in strategies:
                 strategies.append("weight")

@@ -482,11 +482,9 @@ def act(pres: PresentedAlgebra, word, mod: Bimodule, vec) -> tuple:
         raise BimoduleError("weak envelope acts on weak bimodules only")
     if pres.which == "ul" and not mod.is_full():
         raise BimoduleError("full envelope acts on full bimodules only")
-    n = alg.dim
     out = tuple(vec)
     for g in reversed([pres.gen_index(g) for g in word]):
-        mat = mod.lam[g] if g < n else mod.rho[g - n]
-        out = mat.apply(out)
+        out = mod.actions[g].apply(out)
     return out
 
 

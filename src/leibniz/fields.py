@@ -17,6 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Moduli from here on are refused: eigenvalue searches test every residue,
+# so their cost grows with p.  The package's own checks use p <= 101.
+MAX_MODULUS = 2**16
+
+
 class FieldError(ValueError):
     """Malformed scalar strings, bad moduli, division by zero."""
 
@@ -161,6 +166,8 @@ class Rationals(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= MAX_MODULUS:
+            raise FieldError(f"modulus {p} is too large: prime fields need p < {MAX_MODULUS}")
         if not _is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
         self.p = p

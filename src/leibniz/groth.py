@@ -155,10 +155,11 @@ def group_base(field: Field, k: int) -> BaseRing:
         return {tuple(field.add(x, y) for x, y in zip(a, b)): 1}
 
     def window(radius):
-        return [
+        # over F_p the integers -radius..radius repeat residues: keep the first
+        return list(dict.fromkeys(
             tuple(field.from_int(t) for t in tag)
             for tag in itertools.product(range(-radius, radius + 1), repeat=k)
-        ]
+        ))
 
     return BaseRing(
         f"grouplike:{k}",

@@ -7,9 +7,11 @@ canonical representative of a subspace, so two spanning sets of the same
 space always produce equal ``Subspace`` objects.  Quotients are read off it
 too: ``Subspace.quotient_map`` projects F^n onto F^n / S in the complement
 (non-pivot) coordinates of S, and its rows span the annihilator of S, which
-is how ``nullspace`` finds a right kernel.  There is one
-characteristic polynomial, valid in every characteristic; the eigenvalues
-in the field are its roots and the determinant is read off it.
+is how ``nullspace`` finds a right kernel; the maps a family of matrices
+induces on an invariant S and on F^n / S share one reducer of S, which also
+checks invariance.  There is one characteristic polynomial, valid in every
+characteristic; the eigenvalues in the field are its roots and the
+determinant is read off it.
 
 The kernel contract: entries are the field's native scalars (``Fraction``
 over Q, ``int`` in ``[0, p)`` over F_p), and every operation is one loop of
@@ -415,13 +417,29 @@ def rank(m: Matrix) -> int:
     return red.rank
 
 
-def induced_on_quotient(m: Matrix, space: Subspace) -> Matrix:
-    """The matrix ``m`` induces on F^n / space, in the complement
-    coordinates of ``space``; ``space`` must be ``m``-invariant."""
-    red = space.reducer()
-    keep = space.complement_coords()
-    cols = [red.reduce(m.col(j), _native=True) for j in keep]
-    return Matrix._of(m.field, [[c[i] for c in cols] for i in keep], len(keep))
+def induced_on_subspace(mats: Sequence[Matrix], space: Subspace) -> list[Matrix]:
+    """The matrices a family induces on an invariant subspace, in its RREF
+    basis: an image of a basis row has its coordinates at the pivots."""
+    _, images = _invariant_images(mats, space)
+    return [Matrix._of(space.field, [[w[p] for w in ws] for p in space.pivots], space.dim)
+            for ws in images]
+
+
+def induced_on_quotient(mats: Sequence[Matrix], space: Subspace) -> list[Matrix]:
+    """The matrices a family induces on F^n / space, in the complement
+    coordinates of ``space``: the reduced complement columns."""
+    red, keep = _invariant_images(mats, space)[0], space.complement_coords()
+    cols = ([red.reduce(m.col(j), _native=True) for j in keep] for m in mats)
+    return [Matrix._of(space.field, [[c[i] for c in cs] for i in keep], len(keep)) for cs in cols]
+
+
+def _invariant_images(mats: Sequence[Matrix], space: Subspace) -> tuple[RowReducer, list]:
+    """The reducer of ``space`` and, per matrix, the images of its basis
+    rows, each checked to lie in ``space`` by that one reducer."""
+    red, images = space.reducer(), [[m.apply(v) for v in space.basis.rows] for m in mats]
+    if not all(red.contains(w, _native=True) for ws in images for w in ws):
+        raise LinAlgError("subspace is not invariant under every matrix")
+    return red, images
 
 
 def invert(m: Matrix) -> Matrix:
@@ -552,11 +570,6 @@ def eigenspace(m: Matrix, eigenvalue) -> Subspace:
 def vec_add(field: Field, u: Sequence, v: Sequence) -> tuple:
     """Sum of two equally long vectors of native scalars."""
     return (Matrix._of(field, [u], len(u)) + Matrix._of(field, [v], len(v))).rows[0]
-
-
-def vec_kron(field: Field, u: Sequence, v: Sequence) -> tuple:
-    """Kronecker product of two vectors of native scalars (left-major)."""
-    return Matrix._of(field, [u], len(u)).kron(Matrix._of(field, [v], len(v))).rows[0]
 
 
 def unit_vector(field: Field, n: int, i: int) -> tuple:

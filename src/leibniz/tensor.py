@@ -32,6 +32,7 @@ from .bimodule import (
     BimoduleHomCandidate,
     antisymmetrize,
     classify_flags,
+    column_span,
     direct_sum,
     kernels_and_invariants,
     quotient,
@@ -39,7 +40,7 @@ from .bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from .linalg import Matrix, Subspace, nullspace, vec_add, vec_kron
+from .linalg import Matrix, Subspace, nullspace
 
 
 @_memo
@@ -51,18 +52,14 @@ def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     f = a.field
     im = Matrix.identity(f, a.dim)
     jn = Matrix.identity(f, b.dim)
-    lam = [la.kron(jn) + im.kron(lb) for la, lb in zip(a.lam, b.lam)]
-    rho = [ra.kron(jn) + im.kron(rb) for ra, rb in zip(a.rho, b.rho)]
-    return Bimodule(a.algebra, lam, rho, a.dim * b.dim)
+    actions = [x.kron(jn) + im.kron(y) for x, y in zip(a.actions, b.actions)]
+    return a.with_actions(actions, a.dim * b.dim)
 
 
 def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:
-    """Span of pairwise Kronecker products of basis vectors."""
-    f = u.field
-    vecs = [
-        vec_kron(f, x, y) for x in u.basis_vectors() for y in w.basis_vectors()
-    ]
-    return Subspace.span(f, ambient, vecs, _native=True)
+    """Span of pairwise Kronecker products of basis vectors: the rows of
+    the Kronecker product of the two basis matrices."""
+    return Subspace.span(u.field, ambient, u.basis.kron(w.basis).rows, _native=True)
 
 
 def image_subspace(p: Matrix, s: Subspace) -> Subspace:
@@ -71,28 +68,21 @@ def image_subspace(p: Matrix, s: Subspace) -> Subspace:
 
 @_memo
 def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
-    """S(M, N): generators from basis quadruples; bilinearity in each of
-    x, y, m, n makes basis instances sufficient."""
-    f = a.field
-    alg = a.algebra
-    ambient = a.dim * b.dim
-    gens = []
-    for i in range(alg.dim):
-        sum_a = a.lam[i] + a.rho[i]
-        sum_b = b.lam[i] + b.rho[i]
-        for j in range(alg.dim):
-            for va in range(a.dim):
-                ma = sum_a.col(va)
-                mya = a.rho[j].col(va)
-                for vb in range(b.dim):
-                    nyb = b.rho[j].col(vb)
-                    nb = sum_b.col(vb)
-                    gens.append(
-                        vec_add(
-                            f, vec_kron(f, ma, nyb), vec_kron(f, mya, nb)
-                        )
-                    )
-    return Subspace.span(f, ambient, gens, _native=True)
+    """S(M, N): bilinearity in each of x, y, m, n makes basis quadruples
+    sufficient, and column i*dim(N) + j of the operator
+
+      (x.- + -.x) (x) (-.y) + (-.y) (x) (x.- + -.x)
+
+    is the generator of (x, y, m_i, n_j), so S is the column span of these
+    operators over all basis pairs (x, y)."""
+    sums_a = [l + r for l, r in zip(a.lam, a.rho)]
+    sums_b = [l + r for l, r in zip(b.lam, b.rho)]
+    ops = [
+        sa.kron(ry) + ra.kron(sb)
+        for sa, sb in zip(sums_a, sums_b)
+        for ra, ry in zip(a.rho, b.rho)
+    ]
+    return column_span(a.field, ops, a.dim * b.dim)
 
 
 @dataclass
@@ -201,19 +191,12 @@ def structural_checks(l: Bimodule, m: Bimodule, n: Bimodule) -> dict:
 
     left_nested = tensor_bimodule(tensor_bimodule(l, m), n)
     right_nested = tensor_bimodule(l, tensor_bimodule(m, n))
-    out["associator_is_morphism"] = (
-        left_nested.lam == right_nested.lam and left_nested.rho == right_nested.rho
-    )
+    out["associator_is_morphism"] = left_nested.actions == right_nested.actions
 
     triv = trivial_bimodule(l.algebra, 1)
     left_unit = tensor_bimodule(triv, m)
     right_unit = tensor_bimodule(m, triv)
-    out["units_are_morphisms"] = (
-        left_unit.lam == m.lam
-        and left_unit.rho == m.rho
-        and right_unit.lam == m.lam
-        and right_unit.rho == m.rho
-    )
+    out["units_are_morphisms"] = left_unit.actions == m.actions == right_unit.actions
 
     full = m.is_full() and n.is_full()
     kernels = (truncation_kernel, coarse_kernel) if full else (truncation_kernel,)

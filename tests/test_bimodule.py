@@ -336,8 +336,28 @@ class TestSubQuotient:
 
     def test_non_invariant_rejected(self):
         ad = adjoint(make_A(QQ))
-        with pytest.raises(BimoduleError):
+        with pytest.raises(BimoduleError, match="not invariant"):
             restrict(ad, Subspace.span(QQ, 2, [(1, 0)]))
+
+    @pytest.mark.parametrize("construct", [restrict, quotient])
+    def test_right_action_alone_breaks_invariance(self, construct):
+        # span{e1} is kept by the zero left action, but the right shift
+        # sends e1 to e0
+        shift = Matrix.from_ints(QQ, [[0, 1], [0, 0]])
+        mod = Bimodule(make_abelian(QQ, 1), [Matrix.zeros(QQ, 2, 2)], [shift])
+        with pytest.raises(BimoduleError, match="not invariant"):
+            construct(mod, Subspace.span(QQ, 2, [(0, 1)]))
+
+    @pytest.mark.parametrize("construct", [restrict, quotient])
+    def test_one_reducer_per_call(self, construct, monkeypatch):
+        # one reducer of the subspace checks invariance under the whole
+        # action family and reduces what each matrix needs
+        mod = adjoint(make_S(QQ))
+        kernel = kernels_and_invariants(mod)["M0"]
+        built, reducer = [], Subspace.reducer
+        monkeypatch.setattr(Subspace, "reducer", lambda s: built.append(s) or reducer(s))
+        construct(mod, kernel)
+        assert built == [kernel]
 
     def test_quotient_by_non_invariant_rejected(self):
         ad = adjoint(make_A(QQ))

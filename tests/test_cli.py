@@ -507,6 +507,21 @@ class TestOneLineErrors:
         assert err.startswith(f"error: module spec {spec!r} needs an integer size")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chop", "--example", "sl2", "--left", "sym:L2", "--field", "Fp:1000000007"),
+            ("check", "--example", "e", "--field", "Fp:2305843009213693951"),
+            ("chop", "--example", "A", "--field", "Fp:1000003"),
+        ],
+    )
+    def test_large_moduli_refused(self, capsys, argv):
+        # refused before any work: listing F_p or trial division grows with p
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: modulus") and "too large" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_malformed_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("LEIBNIZ_SEED", "abc")
         code, _, err = run(capsys, "check", "--example", "A")

@@ -131,6 +131,19 @@ class TestWeightRule:
         with pytest.raises(GrothError):
             WSTAR.mul(S(1), S(2))  # sl2-style integer tags
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_prime_field_windows_hold_each_label_once(self, p):
+        # the integers -radius..radius repeat residues mod p
+        for k in (1, 2):
+            for radius in range(4):
+                window = weight_rule(FF(p), k).window(radius)
+                assert len(window) == len(set(window))
+        # once the radius covers F_p: U and one S and one A per nonzero residue
+        assert len(weight_rule(FF(p), 1).window(p)) == 2 * p - 1
+        assert weight_rule(FF(3), 1).window(2) == [
+            UNIT, S((1,)), S((2,)), A((1,)), A((2,))
+        ]
+
 
 class TestSl2Rule:
     def test_fusion_of_naturals(self):
@@ -425,6 +438,12 @@ class TestRegistryModules:
         assert [m.rows[0][0] for m in mod.lam] == [2, 2]
         for l in reg.rule().window(1):
             assert class_of_bimodule(reg.module(l), reg) == GrElement.of(l)
+
+    def test_prime_field_window_reconciles_each_pair_once(self):
+        reg = ClassRegistry("weight", make_e(FF(3)))
+        objs = [reg.module(l) for l in reg.rule().window(2)]
+        out = verify_ring_vs_modules(reg.rule(), reg, [(x, y) for x in objs for y in objs])
+        assert len(out["cases"]) == 25 and out["ok"]
 
     def test_foreign_labels_rejected(self):
         with pytest.raises(GrothError):

@@ -19,7 +19,6 @@ from leibniz.linalg import (
     nullspace,
     rank,
     unit_vector,
-    vec_kron,
 )
 
 F5 = FF(5)
@@ -34,6 +33,11 @@ def det2(rows):
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
+
+
+def kron_vec(field, u, v) -> tuple:
+    """Kronecker product of two vectors, left factor major."""
+    return tuple(field.mul(a, b) for a in u for b in v)
 
 
 def random_matrix(field, n, m, rng, lo=-3, hi=3):
@@ -221,8 +225,8 @@ class TestKron:
         b = random_matrix(F5, 3, 3, rng)
         u = tuple(F5.from_int(rng.randint(0, 4)) for _ in range(2))
         v = tuple(F5.from_int(rng.randint(0, 4)) for _ in range(3))
-        lhs = a.kron(b).apply(vec_kron(F5, u, v))
-        rhs = vec_kron(F5, a.apply(u), b.apply(v))
+        lhs = a.kron(b).apply(kron_vec(F5, u, v))
+        rhs = kron_vec(F5, a.apply(u), b.apply(v))
         assert lhs == rhs
 
     @given(st.integers(0, 10**6))
@@ -262,8 +266,8 @@ class TestShape:
         # the shift e1 -> e0 -> 0 keeps span{e0}; on the quotient it is zero
         m = Matrix.from_ints(QQ, [[0, 1], [0, 0]])
         line = Subspace.span(QQ, 2, [(1, 0)])
-        assert induced_on_quotient(m, line) == Matrix.zeros(QQ, 1, 1)
-        assert induced_on_quotient(m, Subspace.full(QQ, 2)).shape == (0, 0)
+        assert induced_on_quotient([m], line) == [Matrix.zeros(QQ, 1, 1)]
+        assert [q.shape for q in induced_on_quotient([m], Subspace.full(QQ, 2))] == [(0, 0)]
 
 
 class TestMatrixExtras:

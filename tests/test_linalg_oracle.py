@@ -27,11 +27,11 @@ from leibniz.linalg import (
     determinant,
     eigenvalues_in_field,
     induced_on_quotient,
+    induced_on_subspace,
     invert,
     nullspace,
     rank,
     vec_add,
-    vec_kron,
 )
 
 FIELDS = [QQ, FF(2), FF(3), FF(5), FF(7)]
@@ -135,6 +135,12 @@ def kron_oracle(a: Matrix, b: Matrix) -> DomainMatrix:
     return DomainMatrix(rows, shape, domain(a.field))
 
 
+def kron_row(field, u, v) -> tuple:
+    """The Kronecker product of two vectors, as the one row of the
+    Kronecker product of the two 1-row matrices."""
+    return Matrix(field, [u], len(u)).kron(Matrix(field, [v], len(v))).rows[0]
+
+
 def native(field, x) -> bool:
     if field.characteristic:
         return type(x) is int and 0 <= x < field.characteristic
@@ -181,11 +187,9 @@ class TestArithmeticAgainstDomainMatrix:
     @given(arithmetic_cases())
     @settings(max_examples=120, deadline=None)
     def test_vectors(self, case):
-        field, (n, m, _), draw, rng = case
-        u, v, w = (draw(1, d).rows[0] for d in (n, n, m))
+        field, (n, _, _), draw, rng = case
+        u, v = (draw(1, n).rows[0] for _ in range(2))
         assert vec_add(field, u, v) == as_vector(field, row_vector(field, u) + row_vector(field, v))
-        want = kron_oracle(Matrix(field, [u], n), Matrix(field, [w], m))
-        assert vec_kron(field, u, w) == as_vector(field, want)
 
 
 class TestNativeScalars:
@@ -200,7 +204,7 @@ class TestNativeScalars:
                     a.transpose(), Subspace.span(field, 3, a.rows + b.rows).basis):
             assert all_native(field, (x for row in out.rows for x in row)), out
         u, v = a.rows[1], b.rows[0]
-        for out in (a.apply(u), vec_add(field, u, v), vec_kron(field, u, v), charpoly(a * b)):
+        for out in (a.apply(u), vec_add(field, u, v), kron_row(field, u, v), charpoly(a * b)):
             assert all_native(field, out), out
 
     @given(arithmetic_cases())
@@ -216,7 +220,7 @@ class TestNativeScalars:
             assert all_native(field, (x for row in out.rows for x in row))
         vec = draw(1, m).rows[0]
         assert all_native(field, a.apply(vec))
-        assert all_native(field, vec_add(field, vec, vec) + vec_kron(field, vec, vec))
+        assert all_native(field, vec_add(field, vec, vec) + kron_row(field, vec, vec))
         assert all_native(field, charpoly(sq)) and native(field, determinant(sq))
         assert native(field, sq.trace())
 
@@ -239,7 +243,7 @@ class TestNativeScalars:
             assert all_native(field, (x for row in space.basis.rows for x in row))
         sq = draw(n, n)
         image = Subspace.span(field, n, sq.columns())  # sq-invariant
-        quotient = induced_on_quotient(sq, image)
+        (quotient,) = induced_on_quotient([sq], image)
         assert all_native(field, (x for row in quotient.rows for x in row))
         if rank(sq) == n:
             assert all_native(field, (x for row in invert(sq).rows for x in row))
@@ -281,6 +285,42 @@ class TestAgainstDomainMatrix:
         at_keep = [[row[j] for j in keep] for row in p.rows]
         assert Matrix._of(m.field, at_keep, len(keep)) == Matrix.identity(m.field, len(keep))
         assert all_native(m.field, (x for row in p.rows for x in row))
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_induced_maps_of_a_family(self, case):
+        # a family keeping span{P e_0, ..., P e_(k-1)}: P T P^-1 with T block
+        # upper triangular; sympy's RREF B of that span gives the induced
+        # maps M B^T at the pivot rows, and M - B^T M_pivots at the
+        # complement coordinates
+        field, (n, _, _), draw, rng = case
+        p = draw(n, n)
+        while dm(p).rank() < n:
+            p = random_matrix(field, n, n, rng)
+        k = rng.randint(0, n)
+        pinv = as_matrix(field, dm(p).inv()) if n else p
+        triangular = [
+            Matrix(field, [[0 if i >= k > j else x for j, x in enumerate(r)]
+                           for i, r in enumerate(draw(n, n).rows)], n)
+            for _ in range(3)
+        ]
+        mats = [p * t * pinv for t in triangular]
+        space = Subspace.span(field, n, p.columns()[:k])
+        reduced, pivots = dm(Matrix(field, p.columns()[:k], n)).rref()
+        keep = [j for j in range(n) if j not in pivots]
+        bt = reduced.extract(range(k), range(n)).transpose()
+        for m, sub, quot in zip(mats, induced_on_subspace(mats, space),
+                                induced_on_quotient(mats, space)):
+            assert dm(m) * bt == bt * dm(sub)
+            assert sub == as_matrix(field, (dm(m) * bt).extract(pivots, range(k)))
+            rest = dm(m) - bt * dm(m).extract(pivots, range(n))
+            assert quot == as_matrix(field, rest.extract(keep, keep))
+        other = draw(n, n)
+        moved = (dm(other) * bt).transpose()
+        if reduced.extract(range(k), range(n)).vstack(moved).rank() > k:
+            for induce in (induced_on_subspace, induced_on_quotient):
+                with pytest.raises(LinAlgError, match="not invariant"):
+                    induce(mats + [other], space)
 
     @given(matrices(), st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
@@ -423,7 +463,7 @@ class TestSparseRowReducer:
         monkeypatch.setattr(type(field), "coerce", lambda f, x: calls.append(x) or coerce(f, x))
         null, inverse = nullspace(b), invert(a)
         r, total, meet = rank(b), u.sum(w), u.intersect(w)
-        inside, quotient = w.contains_subspace(u), induced_on_quotient(b, image)
+        inside, (quotient,) = w.contains_subspace(u), induced_on_quotient([b], image)
         assert calls == []
         dims = (null.dim, r, total.dim, meet.dim, inside, quotient.shape)
         assert dims == (2, 2, 3, 1, False, (2, 2))

@@ -25,7 +25,7 @@ from leibniz.bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, Subspace, unit_vector, vec_kron
+from leibniz.linalg import Matrix, Subspace, unit_vector
 from leibniz.samples import random_full_bimodule, random_weak_bimodule
 from leibniz.tensor import (
     coarse_kernel,
@@ -45,6 +45,11 @@ from leibniz.tensor import (
 F2, F3, F5 = FF(2), FF(3), FF(5)
 
 
+def kron_vec(field, u, v) -> tuple:
+    """Kronecker product of two vectors, left factor major."""
+    return tuple(field.mul(a, b) for a in u for b in v)
+
+
 def sym_line(alg, values):
     f = alg.field
     return symmetrize(alg, [Matrix(f, [[v]]) for v in values])
@@ -53,6 +58,49 @@ def sym_line(alg, values):
 def anti_line(alg, values):
     f = alg.field
     return antisymmetrize(alg, [Matrix(f, [[v]]) for v in values])
+
+
+class TestKroneckerReadings:
+    """The defect span and tensors of subspaces, read off Kronecker
+    products, against their definitions on basis vectors."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
+    def test_defect_span_is_span_of_quadruple_generators(self, field):
+        rng = random.Random(4)
+        nonzero = 0
+        for make in (make_A, make_N, make_e):
+            alg = make(field)
+            for _ in range(3):
+                a = random_weak_bimodule(alg, rng.randint(1, 2), rng)
+                b = random_weak_bimodule(alg, a.dim + rng.randint(1, 2), rng)
+                for m, n in ((a, b), (b, a)):
+                    gens = []
+                    for i in range(alg.dim):
+                        sm, sn = m.lam[i] + m.rho[i], n.lam[i] + n.rho[i]
+                        for j in range(alg.dim):
+                            for p in range(m.dim):
+                                for q in range(n.dim):
+                                    u = kron_vec(field, sm.col(p), n.rho[j].col(q))
+                                    w = kron_vec(field, m.rho[j].col(p), sn.col(q))
+                                    gens.append([field.add(x, y) for x, y in zip(u, w)])
+                    want = Subspace.span(field, m.dim * n.dim, gens)
+                    assert mll_defect_span(m, n) == want
+                    nonzero += want.dim > 0
+        assert nonzero
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
+    def test_tensor_of_subspaces_is_span_of_products(self, field):
+        rng = random.Random(6)
+        for _ in range(12):
+            m, n = rng.randint(0, 3), rng.randint(1, 4)
+            u, w = (
+                Subspace.span(field, d, [[rng.randint(-2, 2) for _ in range(d)]
+                                         for _ in range(rng.randint(0, d))])
+                for d in (m, n)
+            )
+            products = [kron_vec(field, x, y) for x in u.basis.rows for y in w.basis.rows]
+            want = Subspace.span(field, m * n, products)
+            assert tensor_of_subspaces(u, w, m * n) == want
 
 
 class TestTensorBimodule:
@@ -270,9 +318,9 @@ class TestStructuralChecks:
         t = tensor_bimodule(ad, ad)
         m, n = (1, 2), (3, -1)
         for i in range(2):
-            lhs = t.lam[i].apply(vec_kron(QQ, m, n))
-            rhs_a = vec_kron(QQ, ad.lam[i].apply(m), n)
-            rhs_b = vec_kron(QQ, m, ad.lam[i].apply(n))
+            lhs = t.lam[i].apply(kron_vec(QQ, m, n))
+            rhs_a = kron_vec(QQ, ad.lam[i].apply(m), n)
+            rhs_b = kron_vec(QQ, m, ad.lam[i].apply(n))
             assert lhs == tuple(QQ.add(a, b) for a, b in zip(rhs_a, rhs_b))
 
     def test_flip_descends_to_quotient_intertwiner(self):

@@ -30,12 +30,13 @@ def _memo(fn):
     """Compute ``fn(obj, *args)`` once per immutable instance and equal
     hashable arguments, kept in its ``_derived`` dict under the function's
     name and the arguments; an error is not kept.  The body is read from
-    ``__wrapped__`` at call time, so a test can count computations."""
+    ``__wrapped__`` at call time, so a test can count computations, and
+    ``once.key(*args)`` is the key, for reading or seeding a kept value."""
     name = fn.__name__
 
     @functools.wraps(fn)
     def once(obj, *args):
-        key = (name, *args) if args else name
+        key = once.key(*args)
         try:
             return obj._derived[key]
         except KeyError:
@@ -43,6 +44,7 @@ def _memo(fn):
         value = obj._derived[key] = once.__wrapped__(obj, *args)
         return value
 
+    once.key = lambda *args: (name, *args) if args else name
     return once
 
 
@@ -167,17 +169,16 @@ class AlgebraMorphismData:
         )
 
 
-def llm_holds(alg: LeibnizAlgebra, i: int, j: int, mats) -> bool:
-    """The left Leibniz identity mats[b_i b_j] = [mats[i], mats[j]] at one
-    basis pair, for left multiplications, a left action (LLM) or a Lie module."""
-    return expand_product(alg, i, j, mats) == commutator(mats[i], mats[j])
-
-
 def first_llm_failure(alg: LeibnizAlgebra, mats):
-    """The first basis pair (i, j) at which ``llm_holds`` fails, or None."""
+    """The first basis pair (i, j), row by row, at which the left Leibniz
+    identity mats[b_i b_j] = [mats[i], mats[j]] fails, or None; for left
+    multiplications, a left action (LLM) or a Lie module.  Each product
+    mats[i] mats[j] is formed once and serves both [i, j] and [j, i]."""
+    product = functools.cache(lambda i, j: mats[i] * mats[j])
     n = alg.dim
     return next(
-        ((i, j) for i in range(n) for j in range(n) if not llm_holds(alg, i, j, mats)),
+        ((i, j) for i in range(n) for j in range(n)
+         if expand_product(alg, i, j, mats) != product(i, j) - product(j, i)),
         None,
     )
 
@@ -201,11 +202,10 @@ def validate_left_leibniz(alg: LeibnizAlgebra):
 def expand_product(alg: LeibnizAlgebra, i: int, j: int, mats) -> Matrix:
     """sum_k c_ij^k mats[k]: the operator of b_i b_j in the representation
     that sends each basis element b_k to ``mats[k]``."""
-    acc = Matrix.zeros(alg.field, *mats[0].shape)
-    for c, m in zip(alg.table[i][j], mats):
-        if c:
-            acc = acc + m.scale(c)
-    return acc
+    terms = [m if c == 1 else m.scale(c) for c, m in zip(alg.table[i][j], mats) if c]
+    if not terms:
+        return Matrix.zeros(alg.field, *mats[0].shape)
+    return sum(terms[1:], terms[0])
 
 
 def mult_ops(alg: LeibnizAlgebra):
@@ -281,12 +281,8 @@ def products_and_series(alg: LeibnizAlgebra) -> dict:
     n = alg.dim
 
     def span_of_products(sub: Subspace) -> Subspace:
-        vecs = []
         rows = sub.basis_vectors()
-        for u in rows:
-            for v in rows:
-                vecs.append(alg.product(u, v))
-        return Subspace.span(f, n, vecs)
+        return Subspace.span(f, n, [alg.product(u, v) for u in rows for v in rows])
 
     product_span = span_of_products(Subspace.full(f, n))
     last, dims = product_span, [n, product_span.dim]

@@ -15,6 +15,10 @@ axioms, as operator identities per basis pair (x, y):
 "weak" means LLM + LML; "full" adds MLL.  Everything downstream (tensor
 products, truncations, composition series, Grothendieck classes) builds on
 the constructions in this module.
+
+A conjugate inherits its input's computed axiom report; a sub, quotient or
+direct sum inherits the computed report of inputs that hold all four axioms.
+Tensor and hom spaces and duals inherit none.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import LeibnizAlgebra, _memo, expand_product, llm_holds, mult_ops, sl2_module_matrices
+from .algebra import (LeibnizAlgebra, _memo, expand_product, first_llm_failure, mult_ops,
+                      sl2_module_matrices)
 from .fields import Field
 from .linalg import (LinAlgError, Matrix, RowReducer, Subspace, induced_on_quotient,
                      induced_on_subspace, invert, nullspace)
@@ -180,9 +185,12 @@ class BimoduleHomCandidate:
 
 
 def axiom_report(mod: Bimodule) -> AxiomReport:
+    """Each axiom checked pair by pair; the first failure is the earliest
+    failing pair, LLM first on a tie."""
     alg = mod.algebra
     n = alg.dim
-    llm = lml = mll = zd = True
+    llm_pair = first_llm_failure(alg, mod.lam)
+    llm, lml, mll, zd = llm_pair is None, True, True, True
     first = None
 
     def fail(name, i, j):
@@ -195,8 +203,7 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
     for i in range(n):
         for j in range(n):
             li, ri, rj = mod.lam[i], mod.rho[i], mod.rho[j]
-            if llm and not llm_holds(alg, i, j, mod.lam):
-                llm = False
+            if (i, j) == llm_pair:
                 fail("llm", i, j)
             if lml or mll:
                 rho_ij = expand_product(alg, i, j, mod.rho)
@@ -284,10 +291,21 @@ def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimo
     return Bimodule(algebra, lam, rho, 1)
 
 
+def _inherit(child: Bimodule, *inputs: Bimodule, whole: bool = False) -> Bimodule:
+    """``child`` given its inputs' report when every input's report is
+    computed and holds all four axioms, or with ``whole`` (one input) always."""
+    key = Bimodule.axiom_report.key()
+    reports = [m._derived.get(key) for m in inputs]
+    if None not in reports and (whole or all(r.first_failure is None for r in reports)):
+        child._derived[key] = reports[0]
+    return child
+
+
 def conjugate(mod: Bimodule, p: Matrix) -> Bimodule:
-    """Isomorphic copy through an invertible change of basis."""
+    """Isomorphic copy through an invertible change of basis; conjugation
+    preserves each identity at each basis pair, so the report carries over."""
     pinv = invert(p)
-    return mod.with_actions([p * m * pinv for m in mod.actions], mod.dim)
+    return _inherit(mod.with_actions([p * m * pinv for m in mod.actions], mod.dim), mod, whole=True)
 
 
 def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
@@ -302,7 +320,7 @@ def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:
         rows += [[z] * m + list(r) for r in y.rows]
         return Matrix(f, rows)
 
-    return a.with_actions(list(map(block, a.actions, b.actions)), m + n)
+    return _inherit(a.with_actions(list(map(block, a.actions, b.actions)), m + n), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +402,7 @@ def _induced(mod: Bimodule, space: Subspace, induce, dim: int) -> Bimodule:
         actions = induce(mod.actions, space)
     except LinAlgError as exc:
         raise BimoduleError(str(exc)) from None
-    return mod.with_actions(actions, dim)
+    return _inherit(mod.with_actions(actions, dim), mod)
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,6 @@ def poly_add(field, a: NCPoly, b: NCPoly) -> NCPoly:
     return out
 
 
-def poly_scale(field, c, a: NCPoly) -> NCPoly:
-    if not c:
-        return {}
-    return {w: field.mul(c, x) for w, x in a.items()}
-
-
 def poly_mul(field, a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
     for wa, ca in a.items():
@@ -310,7 +304,7 @@ def hom_d1(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:
     alg = ul.algebra
     f = alg.field
     bars = _lie_generator_images(alg)
-    negs = [poly_scale(f, f.neg(f.one()), b) for b in bars]
+    negs = [{w: f.neg(x) for w, x in b.items()} for b in bars]
     return AlgebraHom(ul, ulie, list(bars) + negs, name="d1")
 
 

@@ -10,9 +10,10 @@ the callers, so a construction bug cannot silently weaken a test.
 
 from __future__ import annotations
 
+import functools
 import random
 
-from .algebra import LeibnizAlgebra
+from .algebra import LeibnizAlgebra, products_and_series
 from .bimodule import (
     Bimodule,
     antisymmetrize,
@@ -24,7 +25,7 @@ from .bimodule import (
     symmetrize,
     trivial_bimodule,
 )
-from .linalg import LinAlgError, Matrix, invert
+from .linalg import LinAlgError, Matrix, invert, nullspace
 from .tensor import vanishing_functional
 
 
@@ -41,9 +42,6 @@ def random_invertible(field, n: int, rng: random.Random) -> Matrix:
 def random_one_dim_weak(alg: LeibnizAlgebra, rng: random.Random) -> Bimodule:
     """Random 1-dim weak bimodule: both functionals vanish on products."""
     f = alg.field
-    from .algebra import products_and_series
-    from .linalg import nullspace
-
     span = products_and_series(alg)["product_span"]
     funcs = nullspace(span.basis).basis_vectors()
 
@@ -83,10 +81,7 @@ def random_full_bimodule(
         else:
             blocks.append(trivial_bimodule(alg, size))
         remaining -= size
-    mod = blocks[0]
-    for b in blocks[1:]:
-        mod = direct_sum(mod, b)
-    return conjugate(mod, random_invertible(alg.field, dim, rng))
+    return conjugate(functools.reduce(direct_sum, blocks), random_invertible(alg.field, dim, rng))
 
 
 def random_weak_bimodule(
@@ -101,7 +96,7 @@ def random_weak_bimodule(
         if roll < 0.45:
             blocks.append(random_one_dim_weak(alg, rng))
             remaining -= 1
-        elif roll < 0.7 and remaining >= 1:
+        elif roll < 0.7:
             size = rng.randint(1, min(2, remaining))
             blocks.append(random_full_bimodule(alg, size, rng))
             remaining -= size
@@ -113,7 +108,4 @@ def random_weak_bimodule(
         else:
             blocks.append(dual(random_one_dim_weak(alg, rng)))
             remaining -= 1
-    mod = blocks[0]
-    for b in blocks[1:]:
-        mod = direct_sum(mod, b)
-    return conjugate(mod, random_invertible(alg.field, dim, rng))
+    return conjugate(functools.reduce(direct_sum, blocks), random_invertible(alg.field, dim, rng))

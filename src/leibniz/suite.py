@@ -140,8 +140,8 @@ def check_truncation_simple(seed=0) -> CheckResult:
     ad = adjoint(make_S(QQ))
     td = truncation_data(ad, ad)
     data = kernels_and_invariants(ad)
-    u = tensor_of_subspaces(data["M0"], data["MR"], 25)
-    w = tensor_of_subspaces(data["MR"], data["M0"], 25)
+    u = tensor_of_subspaces(data["M0"], data["MR"])
+    w = tensor_of_subspaces(data["MR"], data["M0"])
     oracle = u.dim + w.dim - u.intersect(w).dim
     ok = (
         td.t0.dim == 16

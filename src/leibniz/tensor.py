@@ -14,8 +14,8 @@ MLL defect is measured by the span S of the vectors
 over basis quadruples; the product becomes a genuine bimodule after
 factoring the action-closure T of S (bar truncation) or the coarser space
 T0 = M0 (x) NL + ML (x) N0 (under truncation).  T is contained in T0 whenever
-both factors are full; whether the two ever differ is unresolved, so the
-strict-inclusion case is surfaced as a research finding, never assumed away.
+both factors are full, and can be strictly smaller: tests/test_tensor.py
+``TestStrictTruncation`` pins a full W over A with dim T = 2 < 3 = dim T0.
 
 The data of an ordered pair (M, N) -- M (x) N, S, T, T0 and both truncated
 products -- is computed once and kept on the left factor M, keyed by N.
@@ -56,9 +56,10 @@ def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     return a.with_actions(actions, a.dim * b.dim)
 
 
-def tensor_of_subspaces(u: Subspace, w: Subspace, ambient: int) -> Subspace:
+def tensor_of_subspaces(u: Subspace, w: Subspace) -> Subspace:
     """Span of pairwise Kronecker products of basis vectors: the rows of
     the Kronecker product of the two basis matrices."""
+    ambient = u.ambient_dim * w.ambient_dim
     return Subspace.span(u.field, ambient, u.basis.kron(w.basis).rows, _native=True)
 
 
@@ -108,12 +109,9 @@ def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T0(M, N) of the under truncation; needs full factors."""
     if not (a.is_full() and b.is_full()):
         raise BimoduleError("coarse truncation data needs full bimodules")
-    ambient = a.dim * b.dim
     ka = kernels_and_invariants(a)
     kb = kernels_and_invariants(b)
-    return tensor_of_subspaces(ka["M0"], kb["MR"], ambient).sum(
-        tensor_of_subspaces(ka["MR"], kb["M0"], ambient)
-    )
+    return tensor_of_subspaces(ka["M0"], kb["MR"]).sum(tensor_of_subspaces(ka["MR"], kb["M0"]))
 
 
 def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:
@@ -149,19 +147,18 @@ def truncation_collapse_check(a: Bimodule, b: Bimodule) -> dict:
     data = truncation_data(a, b)
     ka = kernels_and_invariants(a)
     kb = kernels_and_invariants(b)
-    ambient = a.dim * b.dim
     cases = {}
     if flags_a["symmetric"]:
-        expected = tensor_of_subspaces(ka["LM"], kb["M0"], ambient)
+        expected = tensor_of_subspaces(ka["LM"], kb["M0"])
         cases["left_symmetric"] = data.t == expected and data.t0 == expected
     if flags_a["anti_symmetric"]:
-        expected = tensor_of_subspaces(ka["LM"], kb["MR"], ambient)
+        expected = tensor_of_subspaces(ka["LM"], kb["MR"])
         cases["left_anti_symmetric"] = data.t == expected and data.t0 == expected
     if flags_b["symmetric"]:
-        expected = tensor_of_subspaces(ka["M0"], kb["LM"], ambient)
+        expected = tensor_of_subspaces(ka["M0"], kb["LM"])
         cases["right_symmetric"] = data.t == expected and data.t0 == expected
     if flags_b["anti_symmetric"]:
-        expected = tensor_of_subspaces(ka["MR"], kb["LM"], ambient)
+        expected = tensor_of_subspaces(ka["MR"], kb["LM"])
         cases["right_anti_symmetric"] = data.t == expected and data.t0 == expected
     return {"cases": cases, "all_hold": all(cases.values()), "data": data}
 

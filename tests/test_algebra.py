@@ -11,6 +11,7 @@ from leibniz.algebra import (
     LeibnizAlgebra,
     builtin_algebra,
     canonical_lie,
+    first_llm_failure,
     hemi_semidirect,
     is_lie,
     leibniz_kernel,
@@ -92,6 +93,25 @@ class TestValidation:
         for p in (3, 5, 7):
             assert validate_left_leibniz(make_A(FF(p))) is None
             assert validate_left_leibniz(make_N(FF(p))) is None
+
+
+class TestFirstLlmFailure:
+    def test_each_product_formed_once(self, monkeypatch):
+        # [L_i, L_j] and [L_j, L_i] share the products L_i L_j and L_j L_i
+        counted, product = [], Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda a, b: counted.append(1) or product(a, b))
+        for alg, mats in ((make_sl2(QQ), mult_ops(make_sl2(QQ))[0]),
+                          (make_S(QQ), mult_ops(make_S(QQ))[0]),
+                          (make_sl2(FF(7)), sl2_module_matrices(FF(7), 3))):
+            counted.clear()
+            assert first_llm_failure(alg, mats) is None
+            assert len(counted) == alg.dim ** 2
+
+    def test_first_pair_row_by_row(self):
+        # the bad table of TestValidation breaks the identity at (e, h) only
+        table = [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]
+        bad = LeibnizAlgebra(QQ, ["h", "e"], table, check=False)
+        assert first_llm_failure(bad, mult_ops(bad)[0]) == (1, 0)
 
 
 class TestMultOps:

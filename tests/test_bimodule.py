@@ -13,7 +13,10 @@ from leibniz.bimodule import (
     BimoduleHomCandidate,
     adjoint,
     antisymmetrize,
+    axiom_report,
     classify_flags,
+    column_span,
+    conjugate,
     direct_sum,
     dual,
     duality_morphism_checks,
@@ -28,7 +31,12 @@ from leibniz.bimodule import (
     trivial_bimodule,
 )
 from leibniz.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add
-from leibniz.samples import random_left_module_matrices, random_weak_bimodule
+from leibniz.samples import (
+    random_full_bimodule,
+    random_invertible,
+    random_left_module_matrices,
+    random_weak_bimodule,
+)
 
 F5 = FF(5)
 
@@ -368,6 +376,110 @@ class TestSubQuotient:
         ad = adjoint(make_S(QQ))
         ker = kernels_and_invariants(ad)["M0"]
         assert quotient(ad, ker).dim == ad.dim - ker.dim
+
+
+def lml_failing_bimodule(alg, dim, rng):
+    """A genuine left module with a random right action on which LML fails.
+    Over an algebra with no products LML reads [lam_x, rho_y] = 0, which
+    every 1-dim module satisfies, so the dimension is at least 2."""
+    dim = max(dim, 2)
+    while True:
+        lam = random_left_module_matrices(alg, dim, rng)
+        rho = [Matrix.from_ints(alg.field, [[rng.randint(-1, 1) for _ in range(dim)]
+                                            for _ in range(dim)]) for _ in range(alg.dim)]
+        mod = Bimodule(alg, lam, rho, dim)
+        if not mod.axiom_report().lml:
+            return mod
+
+
+class TestInheritedReports:
+    """A conjugate inherits its input's computed report, and sums,
+    restrictions and quotients inherit the computed report of inputs that
+    hold all four axioms; every child's report must equal the report of a
+    fresh module with the same actions."""
+
+    SAMPLERS = (random_full_bimodule, random_weak_bimodule, lml_failing_bimodule)
+
+    @staticmethod
+    def children(mod, other, rng):
+        f = mod.field
+        yield conjugate(mod, random_invertible(f, mod.dim, rng))
+        yield direct_sum(mod, other)
+        seed = [rng.randint(-1, 1) for _ in range(mod.dim)]
+        spaces = [subbimodule_closure(mod, [seed])]
+        # M0 and MR where they are invariant, else their closures
+        for gens in ([l + r for l, r in zip(mod.lam, mod.rho)], mod.rho):
+            space = column_span(f, gens, mod.dim)
+            spaces.append(space if is_invariant(mod, space)
+                          else subbimodule_closure(mod, space.basis_vectors()))
+        for space in spaces:
+            yield restrict(mod, space)
+            yield quotient(mod, space)
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), F5], ids=repr)
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_inherited_equals_recomputed(self, field, seed):
+        rng = random.Random(seed)
+        alg = builtin_algebra(rng.choice(["A", "N", "e", "abelian:2"]), field)
+        mod, other = (rng.choice(self.SAMPLERS)(alg, rng.randint(1, 3), rng) for _ in range(2))
+        mod.axiom_report(), other.axiom_report()  # the inputs' reports are computed first
+        for child in self.children(mod, other, rng):
+            rep = child.axiom_report()
+            assert rep == axiom_report(Bimodule(alg, child.lam, child.rho, child.dim))
+            flags, first = reference_report(child)
+            assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
+            assert rep.first_failure == first
+
+    def test_conjugate_carries_failures_over(self):
+        rng = random.Random(4)
+        mod = lml_failing_bimodule(make_A(QQ), 2, rng)
+        conj = conjugate(mod, random_invertible(QQ, 2, rng))
+        assert conj.axiom_report() is mod.axiom_report()
+        assert conj.axiom_report() == axiom_report(Bimodule(conj.algebra, conj.lam, conj.rho))
+
+    def test_no_report_is_computed_for_an_input(self, monkeypatch):
+        import leibniz.bimodule as bimodule_mod
+
+        reported = []
+        report = bimodule_mod.axiom_report
+        monkeypatch.setattr(
+            bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod)
+        )
+        mod = adjoint(make_A(QQ))
+        line = Subspace.span(QQ, 2, [(0, 1)])
+        children = [conjugate(mod, Matrix.from_ints(QQ, [[1, 1], [0, 1]])),
+                    direct_sum(mod, mod), restrict(mod, line), quotient(mod, line)]
+        assert reported == []
+        for child in children:
+            assert child.is_full()
+        assert [m is c for m, c in zip(reported, children)] == [True] * 4
+
+    @pytest.mark.parametrize("bad", ["weak", "lml"])
+    def test_failing_parent_passes_no_false_flag(self, bad, monkeypatch):
+        # M = B + U with B weak-only or failing LML and U trivial; M/B = U is
+        # full, but M is not, so the quotient's report is computed afresh
+        import leibniz.bimodule as bimodule_mod
+
+        alg = make_e(QQ)
+        if bad == "weak":
+            b = one_dim_bimodule(alg, [0], [1])
+        else:
+            b = lml_failing_bimodule(alg, 2, random.Random(0))
+        mod = direct_sum(b, trivial_bimodule(alg, 1))
+        rep = mod.axiom_report()
+        want = ("weak", "mll") if bad == "weak" else ("left-only", "lml")
+        assert (rep.kind, rep.first_failure[0]) == want
+        reported = []
+        report = bimodule_mod.axiom_report
+        monkeypatch.setattr(
+            bimodule_mod, "axiom_report", lambda m: reported.append(m) or report(m)
+        )
+        summand = Subspace.span(QQ, mod.dim, [unit_vector(QQ, mod.dim, k) for k in range(b.dim)])
+        quot = quotient(mod, summand)
+        assert quot.axiom_report().kind == "full"
+        assert quot.axiom_report().first_failure is None
+        assert [m is quot for m in reported] == [True]
 
 
 class TestRandomLeftModules:

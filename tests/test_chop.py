@@ -26,7 +26,7 @@ from leibniz.chop import (
 )
 from leibniz.linalg import Matrix
 from leibniz.samples import random_full_bimodule, random_invertible
-from leibniz.tensor import trunc_bar
+from leibniz.tensor import trunc_bar, trunc_under, truncation_data
 
 F2, F3 = FF(2), FF(3)
 
@@ -241,3 +241,34 @@ class TestSl2SmallCharacteristic:
         assert sorted(rep.dims) == ([1, 1, 2] if weight == 3 else [1, 2, 2])
         assert rep.certified
         assert "sl2" not in rep.strategy
+
+
+class TestInheritedReportsInChop:
+    @pytest.mark.parametrize("sides", [("sym", "sym"), ("sym", "anti"), ("anti", "sym"),
+                                       ("anti", "anti")], ids="-".join)
+    def test_no_report_for_conjugated_factors_or_quotients(self, sides, monkeypatch):
+        # the factors are conjugates of modules whose reports symmetrize and
+        # antisymmetrize computed, and chop's subquotients of the full bar
+        # product inherit its report: only the bar product is checked
+        import leibniz.bimodule as bimodule_mod
+
+        sl2, rng = make_sl2(QQ), random.Random(3)
+        for n in range(8):  # the irreducible factors, built before counting
+            for side in ("sym", "anti"):
+                bimodule_mod.sl2_irreducible(sl2, n, side)
+        a, b = (
+            conjugate((symmetrize if side == "sym" else antisymmetrize)(
+                sl2, sl2_module_matrices(QQ, 3)), random_invertible(QQ, 4, rng))
+            for side in sides
+        )
+        reported = []
+        report = bimodule_mod.axiom_report
+        monkeypatch.setattr(
+            bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod)
+        )
+        truncation_data(a, b)
+        bar = trunc_bar(a, b)
+        trunc_under(a, b)
+        factors = chop(bar).factors
+        assert [m is bar for m in reported] == [True]
+        assert sum(f.dim for f in factors) == bar.dim

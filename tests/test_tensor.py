@@ -100,7 +100,11 @@ class TestKroneckerReadings:
             )
             products = [kron_vec(field, x, y) for x in u.basis.rows for y in w.basis.rows]
             want = Subspace.span(field, m * n, products)
-            assert tensor_of_subspaces(u, w, m * n) == want
+            assert tensor_of_subspaces(u, w) == want
+
+    def test_ambient_is_read_off_the_factors(self):
+        u = tensor_of_subspaces(Subspace.full(QQ, 2), Subspace.span(QQ, 3, [(1, 0, 0)]))
+        assert (u.dim, u.ambient_dim) == (2, 6)
 
 
 class TestTensorBimodule:
@@ -174,8 +178,8 @@ class TestTruncationData:
         from leibniz.bimodule import kernels_and_invariants
 
         data = kernels_and_invariants(ad)
-        u = tensor_of_subspaces(data["M0"], data["MR"], 25)
-        w = tensor_of_subspaces(data["MR"], data["M0"], 25)
+        u = tensor_of_subspaces(data["M0"], data["MR"])
+        w = tensor_of_subspaces(data["MR"], data["M0"])
         assert (u.dim, w.dim, u.intersect(w).dim) == (10, 10, 4)
         assert td.t0.dim == 10 + 10 - 4 == 16
         assert td.t0.dim <= 20 < 25
@@ -194,6 +198,33 @@ class TestTruncationData:
         weak = one_dim_bimodule(make_e(QQ), [0], [1])
         with pytest.raises(BimoduleError, match="needs full bimodules"):
             truncation_data(weak, weak)
+
+
+class TestStrictTruncation:
+    """W over A (h.e = e): a non-split extension of S(-1) by the trivial
+    module U, full, whose square has T strictly inside T0."""
+
+    @staticmethod
+    def w():
+        m = lambda rows: Matrix.from_ints(QQ, rows)
+        lam = [m([[0, -1], [0, -1]]), m([[0, 0], [0, 0]])]
+        rho = [m([[0, 1], [0, 1]]), m([[0, -1], [0, 0]])]
+        return Bimodule(make_A(QQ), lam, rho)
+
+    def test_w_is_full(self):
+        assert self.w().is_full()
+
+    def test_t_strictly_inside_t0(self):
+        w = self.w()
+        data = truncation_data(w, w)
+        assert (data.s_span.dim, data.t.dim, data.t0.dim) == (2, 2, 3)
+        assert data.containment_verified and not data.t_equals_t0
+
+    def test_both_truncations_full(self):
+        w = self.w()
+        bar, under = trunc_bar(w, w), trunc_under(w, w)
+        assert (bar.dim, under.dim) == (2, 1)
+        assert bar.is_full() and under.is_full()
 
 
 class TestTruncatedProducts:

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Search for a gap between the two truncation kernels.
 
-It is unknown whether the action-closure kernel T(M, N) can be strictly
-smaller than the coarse kernel T0(M, N) = M0 (x) NL + ML (x) N0.  This
-experiment samples random full bimodules over several algebras and
-fields, compares the two kernels, and reports any strict inclusion as a
-research finding.  No gap has been observed on the default seeds.
+The action-closure kernel T(M, N) can be strictly smaller than the coarse
+kernel T0(M, N) = M0 (x) NL + ML (x) N0: a non-split extension W over A
+with T < T0 for W (x) W is pinned in tests/test_tensor.py
+(TestStrictTruncation).  This experiment samples random full bimodules
+over several algebras and fields, compares the two kernels, and reports
+any strict inclusion as a research finding.  Its sampler builds only
+conjugated direct sums of symmetric, anti-symmetric and trivial blocks,
+where no gap has been observed on the default seeds.
 
 Usage: python scripts/explore_truncations.py [--samples N] [--seed S] [--max-dim D]
 """

@@ -16,9 +16,8 @@ axioms, as operator identities per basis pair (x, y):
 products, truncations, composition series, Grothendieck classes) builds on
 the constructions in this module.
 
-A conjugate inherits its input's computed axiom report; a sub, quotient or
-direct sum inherits the computed report of inputs that hold all four axioms.
-Tensor and hom spaces and duals inherit none.
+One rule: a module is marked full when its construction guarantees all four
+axioms, and otherwise its axiom report is computed when asked.
 """
 
 from __future__ import annotations
@@ -50,6 +49,9 @@ class AxiomReport:
         if self.llm and self.lml:
             return "full" if self.mll else "weak"
         return "left-only" if self.llm else "none"
+
+
+FULL = AxiomReport(llm=True, lml=True, mll=True, zd=True, first_failure=None)
 
 
 class Bimodule:
@@ -239,12 +241,12 @@ def classify_flags(mod: Bimodule) -> dict:
 
 
 def _check_llm(mod: Bimodule) -> Bimodule:
-    """``mod`` itself once its left action is a module.  LLM reads only the
-    left action, so the module's own report decides it."""
-    report = mod.axiom_report()
-    if not report.llm:
-        raise BimoduleError(f"left action is not a module: LLM fails at {report.first_failure}")
-    return mod
+    """``mod`` (rho = -lam or 0) marked full once LLM holds: LML and MLL at a
+    pair then read LLM there or 0 = 0, and ZD reads 0 = 0."""
+    pair = first_llm_failure(mod.algebra, mod.lam)
+    if pair is not None:
+        raise BimoduleError(f"left action is not a module: LLM fails at {('llm', *pair)}")
+    return _inherit(mod)
 
 
 def symmetrize(algebra: LeibnizAlgebra, lam, dim: int | None = None) -> Bimodule:
@@ -278,7 +280,7 @@ def trivial_bimodule(algebra: LeibnizAlgebra, dim: int = 1) -> Bimodule:
     if dim < 0:
         raise BimoduleError(f"bimodule dimension must be non-negative, not {dim}")
     z = [Matrix.zeros(algebra.field, dim, dim) for _ in range(algebra.dim)]
-    return Bimodule(algebra, list(z), list(z), dim)
+    return _inherit(Bimodule(algebra, z, z, dim))
 
 
 def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimodule:
@@ -291,21 +293,20 @@ def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimo
     return Bimodule(algebra, lam, rho, 1)
 
 
-def _inherit(child: Bimodule, *inputs: Bimodule, whole: bool = False) -> Bimodule:
-    """``child`` given its inputs' report when every input's report is
-    computed and holds all four axioms, or with ``whole`` (one input) always."""
+def _inherit(child: Bimodule, *inputs: Bimodule) -> Bimodule:
+    """``child`` marked full when every input's computed report is full;
+    with no inputs, full by construction.  Tensor and hom spaces and duals
+    are never marked."""
     key = Bimodule.axiom_report.key()
-    reports = [m._derived.get(key) for m in inputs]
-    if None not in reports and (whole or all(r.first_failure is None for r in reports)):
-        child._derived[key] = reports[0]
+    if all(m._derived.get(key) == FULL for m in inputs):
+        child._derived[key] = FULL
     return child
 
 
 def conjugate(mod: Bimodule, p: Matrix) -> Bimodule:
-    """Isomorphic copy through an invertible change of basis; conjugation
-    preserves each identity at each basis pair, so the report carries over."""
+    """Isomorphic copy through an invertible change of basis."""
     pinv = invert(p)
-    return _inherit(mod.with_actions([p * m * pinv for m in mod.actions], mod.dim), mod, whole=True)
+    return _inherit(mod.with_actions([p * m * pinv for m in mod.actions], mod.dim), mod)
 
 
 def direct_sum(a: Bimodule, b: Bimodule) -> Bimodule:

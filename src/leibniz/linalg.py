@@ -216,9 +216,8 @@ class RowReducer:
         self._rows: dict[int, dict] = {}  # pivot -> row
 
     def _sparse(self, vec, native: bool = False) -> dict:
-        """A fresh ``{column: nonzero scalar}`` copy of ``vec``."""
-        if native:  # a dense row of native scalars that the kernel made: unchecked
-            return {j: x for j, x in enumerate(vec) if x}
+        """A fresh ``{column: nonzero scalar}`` copy of ``vec``; a ``native``
+        dense row holds scalars that the kernel made and skips ``coerce``."""
         coerce = self.field.coerce
         if isinstance(vec, dict):
             if any(not 0 <= j < self.width for j in vec):
@@ -226,7 +225,7 @@ class RowReducer:
             return {j: x for j, x in zip(vec, map(coerce, vec.values())) if x}
         if len(vec) != self.width:
             raise LinAlgError(f"vector of length {len(vec)} in dimension {self.width}")
-        return {j: x for j, x in enumerate(map(coerce, vec)) if x}
+        return {j: x for j, x in enumerate(vec if native else map(coerce, vec)) if x}
 
     def _dense(self, v: dict) -> list:
         out = [self.field.zero()] * self.width

@@ -77,6 +77,16 @@ def reference_report(mod):
     return flags, first
 
 
+def count_reports(monkeypatch) -> list:
+    """The modules whose axiom report is computed from now on, in order."""
+    import leibniz.bimodule as bimodule_mod
+
+    reported = []
+    report = bimodule_mod.axiom_report
+    monkeypatch.setattr(bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod))
+    return reported
+
+
 def random_families(field, rng):
     """Matrix families over ``field``: random pairs, genuine left modules
     with a random right action, and every 1-dim family over F_3 of A."""
@@ -192,24 +202,19 @@ class TestClassifyAndSymmetrize:
         alg = make_A(QQ)
         bad = [Matrix(QQ, [[1]]), Matrix(QQ, [[1]])]  # second gen must act by 0
         for build in (symmetrize, antisymmetrize):
-            with pytest.raises(BimoduleError, match=r"LLM fails at \('llm', 0, 1\)"):
+            with pytest.raises(BimoduleError) as err:
                 build(alg, bad)
+            assert str(err.value) == "left action is not a module: LLM fails at ('llm', 0, 1)"
 
-    def test_one_axiom_report_per_built_module(self, monkeypatch):
-        import leibniz.bimodule as bimodule_mod
+    def test_built_modules_compute_no_axiom_report(self, monkeypatch):
         from leibniz.algebra import sl2_module_matrices
 
-        reported = []
-        report = bimodule_mod.axiom_report
-        monkeypatch.setattr(
-            bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod)
-        )
+        reported = count_reports(monkeypatch)
         sl2 = make_sl2(QQ)
-        for build in (symmetrize, antisymmetrize):
-            reported.clear()
-            mod = build(sl2, sl2_module_matrices(QQ, 2))
+        for mod in (symmetrize(sl2, sl2_module_matrices(QQ, 2)),
+                    antisymmetrize(sl2, sl2_module_matrices(QQ, 2)), trivial_bimodule(sl2, 2)):
             assert mod.is_full() and mod.kind == "full"
-            assert len(reported) == 1 and reported[0] is mod
+        assert reported == []
 
     def test_kernel_data_error_raised_at_every_call(self):
         mod = one_dim_bimodule(make_A(QQ), [0, 1], [0, 0])  # LLM fails
@@ -393,10 +398,10 @@ def lml_failing_bimodule(alg, dim, rng):
 
 
 class TestInheritedReports:
-    """A conjugate inherits its input's computed report, and sums,
-    restrictions and quotients inherit the computed report of inputs that
-    hold all four axioms; every child's report must equal the report of a
-    fresh module with the same actions."""
+    """Conjugates, sums, restrictions and quotients are marked full when
+    every input's computed report is full, and otherwise compute their own;
+    every child's report must equal the report of a fresh module with the
+    same actions."""
 
     SAMPLERS = (random_full_bimodule, random_weak_bimodule, lml_failing_bimodule)
 
@@ -431,21 +436,26 @@ class TestInheritedReports:
             assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
             assert rep.first_failure == first
 
-    def test_conjugate_carries_failures_over(self):
+    def test_conjugate_of_a_failing_module_computes_its_own_report(self, monkeypatch):
         rng = random.Random(4)
         mod = lml_failing_bimodule(make_A(QQ), 2, rng)
         conj = conjugate(mod, random_invertible(QQ, 2, rng))
-        assert conj.axiom_report() is mod.axiom_report()
-        assert conj.axiom_report() == axiom_report(Bimodule(conj.algebra, conj.lam, conj.rho))
+        reported = count_reports(monkeypatch)
+        assert conj.axiom_report() == mod.axiom_report()
+        assert reported == [conj]
+
+    def test_random_full_bimodule_computes_no_report(self, monkeypatch):
+        # its blocks are symmetrizations, antisymmetrizations and trivial
+        # modules, and sums and conjugates of full modules stay full
+        reported = count_reports(monkeypatch)
+        rng = random.Random(2)
+        for name in ("A", "N", "e", "abelian:2"):
+            for dim in range(1, 5):
+                assert random_full_bimodule(builtin_algebra(name, F5), dim, rng).is_full()
+        assert reported == []
 
     def test_no_report_is_computed_for_an_input(self, monkeypatch):
-        import leibniz.bimodule as bimodule_mod
-
-        reported = []
-        report = bimodule_mod.axiom_report
-        monkeypatch.setattr(
-            bimodule_mod, "axiom_report", lambda mod: reported.append(mod) or report(mod)
-        )
+        reported = count_reports(monkeypatch)
         mod = adjoint(make_A(QQ))
         line = Subspace.span(QQ, 2, [(0, 1)])
         children = [conjugate(mod, Matrix.from_ints(QQ, [[1, 1], [0, 1]])),
@@ -459,8 +469,6 @@ class TestInheritedReports:
     def test_failing_parent_passes_no_false_flag(self, bad, monkeypatch):
         # M = B + U with B weak-only or failing LML and U trivial; M/B = U is
         # full, but M is not, so the quotient's report is computed afresh
-        import leibniz.bimodule as bimodule_mod
-
         alg = make_e(QQ)
         if bad == "weak":
             b = one_dim_bimodule(alg, [0], [1])
@@ -470,16 +478,51 @@ class TestInheritedReports:
         rep = mod.axiom_report()
         want = ("weak", "mll") if bad == "weak" else ("left-only", "lml")
         assert (rep.kind, rep.first_failure[0]) == want
-        reported = []
-        report = bimodule_mod.axiom_report
-        monkeypatch.setattr(
-            bimodule_mod, "axiom_report", lambda m: reported.append(m) or report(m)
-        )
+        reported = count_reports(monkeypatch)
         summand = Subspace.span(QQ, mod.dim, [unit_vector(QQ, mod.dim, k) for k in range(b.dim)])
         quot = quotient(mod, summand)
         assert quot.axiom_report().kind == "full"
         assert quot.axiom_report().first_failure is None
         assert [m is quot for m in reported] == [True]
+
+
+class TestReportsByConstruction:
+    """Symmetrizations, antisymmetrizations and trivial modules are marked
+    full when built, and their conjugates and sums inherit that; each such
+    report must equal the report of a fresh module with the same actions
+    and the elementwise reference."""
+
+    @staticmethod
+    def check(mods, rng):
+        conjugates = [conjugate(m, random_invertible(m.field, m.dim, rng)) for m in mods]
+        sums = [direct_sum(rng.choice(mods), rng.choice(conjugates)) for _ in range(3)]
+        for mod in mods + conjugates + sums:
+            rep = mod.axiom_report()
+            assert rep == axiom_report(Bimodule(mod.algebra, mod.lam, mod.rho, mod.dim))
+            flags, first = reference_report(mod)
+            assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
+            assert rep.first_failure == first
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), F5], ids=repr)
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_left_modules_and_trivials(self, field, seed):
+        rng = random.Random(seed)
+        alg = builtin_algebra(rng.choice(["A", "N", "e", "abelian:2"]), field)
+        mods = [trivial_bimodule(alg, dim) for dim in range(4)]
+        for _ in range(2):
+            dim = rng.randint(1, 3)
+            lam = random_left_module_matrices(alg, dim, rng)
+            mods += [symmetrize(alg, lam, dim), antisymmetrize(alg, lam, dim)]
+        self.check(mods, rng)
+
+    @pytest.mark.parametrize("field", [QQ, FF(101)], ids=repr)
+    def test_sl2_irreducibles(self, field):
+        from leibniz.bimodule import sl2_irreducible
+
+        sl2 = make_sl2(field)
+        mods = [sl2_irreducible(sl2, n, side) for n in range(5) for side in ("sym", "anti")]
+        self.check(mods, random.Random(5))
 
 
 class TestRandomLeftModules:

@@ -247,8 +247,8 @@ class TestInheritedReportsInChop:
     @pytest.mark.parametrize("sides", [("sym", "sym"), ("sym", "anti"), ("anti", "sym"),
                                        ("anti", "anti")], ids="-".join)
     def test_no_report_for_conjugated_factors_or_quotients(self, sides, monkeypatch):
-        # the factors are conjugates of modules whose reports symmetrize and
-        # antisymmetrize computed, and chop's subquotients of the full bar
+        # the factors are conjugates of modules that symmetrize and
+        # antisymmetrize mark full, and chop's subquotients of the full bar
         # product inherit its report: only the bar product is checked
         import leibniz.bimodule as bimodule_mod
 

@@ -451,6 +451,14 @@ class TestSparseRowReducer:
             with pytest.raises(FieldError):
                 method(["x", 0, 0])
 
+    @pytest.mark.parametrize("field", [QQ, FF(5)], ids=repr)
+    def test_native_rows_of_the_wrong_length_rejected(self, field):
+        # native rows skip coercion, not the length check: too short would
+        # pad silently and too long would index past the width
+        for width, vec in ((3, (1, 2)), (2, (1, 2, 3))):
+            with pytest.raises(LinAlgError, match="length"):
+                Subspace.span(field, width, [vec], _native=True)
+
     @pytest.mark.parametrize("field", ARITH_FIELDS, ids=repr)
     def test_kernel_rows_skip_coercion(self, field, monkeypatch):
         # the kernel's own rows are native already: coercing them again is waste

@@ -172,15 +172,16 @@ class AlgebraMorphismData:
 def first_llm_failure(alg: LeibnizAlgebra, mats):
     """The first basis pair (i, j), row by row, at which the left Leibniz
     identity mats[b_i b_j] = [mats[i], mats[j]] fails, or None; for left
-    multiplications, a left action (LLM) or a Lie module.  Each product
-    mats[i] mats[j] is formed once and serves both [i, j] and [j, i]."""
+    multiplications, a left action (LLM) or a Lie module.  [i, i] is 0, and
+    each product mats[i] mats[j], i != j, serves both [i, j] and [j, i]."""
     product = functools.cache(lambda i, j: mats[i] * mats[j])
+
+    def holds(i: int, j: int) -> bool:
+        lhs = expand_product(alg, i, j, mats)
+        return lhs.is_zero() if i == j else lhs == product(i, j) - product(j, i)
+
     n = alg.dim
-    return next(
-        ((i, j) for i in range(n) for j in range(n)
-         if expand_product(alg, i, j, mats) != product(i, j) - product(j, i)),
-        None,
-    )
+    return next(((i, j) for i in range(n) for j in range(n) if not holds(i, j)), None)
 
 
 @_memo

@@ -4,7 +4,9 @@ Strategies, tried in order on each piece:
 
 1. weight peeling: a common eigenvector of all action matrices spans a
    1-dimensional subbimodule; peel it and recurse on the quotient.
-   Certified (each step is an explicit invariant line).
+   Certified (each step is an explicit invariant line).  The search
+   diagonalises each matrix only on its largest invariant subspace inside
+   the joint eigenspace of the matrices before it.
 2. highest-weight decomposition when the algebra is the builtin sl2 (or
    its hemi-semidirect extension), the bimodule is full and the
    characteristic is 0 or exceeds the dimension: split off the
@@ -43,10 +45,12 @@ from .bimodule import (
 )
 from .linalg import (
     Matrix,
+    RowReducer,
     Subspace,
     eigenvalues_in_field,
     eigenspace,
     induced_on_quotient,
+    induced_on_subspace,
     nullspace,
     unit_vector,
 )
@@ -122,29 +126,56 @@ def common_eigenvector(mats, field, ambient: int):
 
     Depth-first over the eigenvalues each matrix has in the ground field,
     intersecting eigenspaces as we go.  A nonzero joint intersection at
-    the end is exactly a line of common eigenvectors.  A matrix's
-    eigenspaces are computed only once the search first reaches it.
+    the end is exactly a line of common eigenvectors.  Zero matrices are
+    skipped, and a matrix is diagonalised only once the search reaches it,
+    on the joint eigenspace found so far (``_eigenspaces_within``).
     """
-    mats = list(mats)
-
-    # local to this search: the matrices belong to no object with a memo
-    @functools.cache
-    def eigenspaces(idx: int) -> list:
-        return [eigenspace(mats[idx], ev) for ev in eigenvalues_in_field(mats[idx])]
+    mats = [m for m in mats if not m.is_zero()]
 
     def search(space: Subspace, idx: int) -> Subspace | None:
         if space.dim == 0:
             return None
         if idx == len(mats):
             return space
-        for espace in eigenspaces(idx):
-            found = search(space.intersect(espace), idx + 1)
+        for espace in _eigenspaces_within(mats[idx], space):
+            found = search(espace, idx + 1)
             if found is not None:
                 return found
         return None
 
     space = search(Subspace.full(field, ambient), 0)
     return None if space is None else space.basis_vectors()[0]
+
+
+def _eigenspaces_within(m: Matrix, space: Subspace):
+    """The nonzero W ∩ E_mu(m) for W = ``space``, in the order of the
+    eigenvalues mu.  An eigenvector of m in W spans an m-invariant line, so
+    these are the eigenspaces of m on V, the largest m-invariant subspace
+    of W, lifted back to F^n.  On W's basis rows b_i, m b_i = sum_j a_ji b_j
+    + r_i with r_i reduced mod W; V, in W's coordinates, is the common kernel
+    of the functionals c -> (sum_i c_i r_i)_s composed with every power of
+    a.  On W = F^n, V is F^n and m is used as it is."""
+    f, n, k = space.field, space.ambient_dim, space.dim
+    if k == n:
+        yield from (eigenspace(m, ev) for ev in eigenvalues_in_field(m))
+        return
+    red, images = space.reducer(), [m.apply(b) for b in space.basis.rows]
+    a_t = Matrix._of(f, [[w[p] for p in space.pivots] for w in images], k)
+    residues = zip(*(red.reduce(w, _native=True) for w in images))
+    seen, todo = RowReducer(f, k), [r for r in residues if any(r)]
+    while todo:  # the span of the functionals, closed under composing with a
+        phi = todo.pop()
+        if seen.insert(phi, _native=True):
+            todo.append(a_t.apply(phi))
+    if seen.rank == k:
+        return
+    inner = Subspace(f, k, seen.basis(), tuple(seen.pivots)).quotient_map()
+    v = Subspace.span(f, k, inner.rows, _native=True)
+    (on_v,) = induced_on_subspace([a_t.transpose()], v)
+    w_t = space.basis.transpose()
+    lift = Matrix._of(f, zip(*(w_t.apply(c) for c in v.basis.rows)), v.dim)
+    for ev in eigenvalues_in_field(on_v):
+        yield Subspace.span(f, n, map(lift.apply, eigenspace(on_v, ev).basis.rows), _native=True)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +205,24 @@ def _left_module_highest_weights(e: Matrix, h: Matrix, fmat: Matrix, field):
     """Highest weights of a finite-dimensional sl2 left module, by peeling
     the irreducible generated by a maximal-weight vector."""
     weights = []
+    # a quotient's h-eigenvalues are among the module's, tried highest first
+    eigs = eigenvalues_in_field(h)
+    tops = [k for k in reversed(range(e.nrows)) if field.from_int(k) in eigs]
     while e.nrows > 0:
         d = e.nrows
-        eigs = eigenvalues_in_field(h)
-        n = max((k for k in range(d) if field.from_int(k) in eigs), default=None)
-        if n is None:
+        tops = [k for k in tops if k < d]
+        while tops:
+            top = eigenspace(h, field.from_int(tops[0]))
+            if top.dim:
+                break
+            tops.pop(0)
+        else:
             raise BimoduleError(
                 "h-action has no non-negative integer eigenvalue: "
                 "not an sl2 module over this field"
             )
-        v = eigenspace(h, field.from_int(n)).basis_vectors()[0]
+        n = tops[0]
+        v = top.basis_vectors()[0]
         chain = [v]
         for _ in range(n):
             chain.append(fmat.apply(chain[-1]))

@@ -1,9 +1,12 @@
 """Composition series: strategies, certification, oracle agreement."""
 
+import functools
+import itertools
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibniz.fields import QQ, FF
 from leibniz.algebra import make_A, make_N, make_S, make_e, make_sl2, sl2_module_matrices
@@ -18,13 +21,14 @@ from leibniz.bimodule import (
     trivial_bimodule,
 )
 from leibniz.chop import (
+    _left_module_highest_weights,
     bruteforce_invariant_subspaces,
     chop,
     common_eigenvector,
     oracle_composition_factors,
     sl2_triple_indices,
 )
-from leibniz.linalg import Matrix
+from leibniz.linalg import Matrix, Subspace, eigenspace, eigenvalues_in_field, invert, rank
 from leibniz.samples import random_full_bimodule, random_invertible
 from leibniz.tensor import trunc_bar, trunc_under, truncation_data
 
@@ -62,6 +66,103 @@ class TestCommonEigenvector:
         sl2 = make_sl2(QQ)
         mats = sl2_module_matrices(QQ, 1)
         assert common_eigenvector(mats, QQ, 2) is None
+
+
+def full_space_search(mats, field, ambient: int):
+    """The search as it was before the restriction: every eigenspace of each
+    matrix on all of F^n, intersected with the joint eigenspace so far."""
+    mats = list(mats)
+
+    @functools.cache
+    def eigenspaces(idx: int) -> list:
+        return [eigenspace(mats[idx], ev) for ev in eigenvalues_in_field(mats[idx])]
+
+    def search(space, idx):
+        if space.dim == 0:
+            return None
+        if idx == len(mats):
+            return space
+        for espace in eigenspaces(idx):
+            found = search(space.intersect(espace), idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    space = search(Subspace.full(field, ambient), 0)
+    return None if space is None else space.basis_vectors()[0]
+
+
+def in_random_basis(mats, field, rng):
+    if not mats or mats[0].nrows == 0:
+        return list(mats)
+    p = random_invertible(field, mats[0].nrows, rng)
+    p_inv = invert(p)
+    return [p * m * p_inv for m in mats]
+
+
+def random_family(field, d: int, rng: random.Random) -> list:
+    """Up to three matrices sharing a flag, or diagonal ones with repeated
+    entries, or unstructured ones, plus zero, scalar and repeated +-m
+    members, all in one random basis."""
+    kind = rng.choice(["flag", "diagonal", "free"])
+
+    def member():
+        def entry(i, j):
+            if kind == "diagonal":
+                return rng.choice([0, 1, -1, 2]) if i == j else 0
+            return rng.randint(-2, 2) if kind == "free" or j >= i else 0
+        return Matrix.from_ints(field, [[entry(i, j) for j in range(d)] for i in range(d)])
+
+    mats = [member() for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        kind = "free"
+        mats.append(member())
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.choice(["zero", "scalar", "repeat"])
+        if extra == "zero" or not mats:
+            mats.append(Matrix.zeros(field, d, d))
+        elif extra == "scalar":
+            mats.append(Matrix.identity(field, d).scale(field.from_int(rng.randint(-3, 3))))
+        else:
+            m = rng.choice(mats)
+            mats.append(m if rng.random() < 0.5 else -m)
+    rng.shuffle(mats)
+    return in_random_basis(mats, field, rng)
+
+
+def lines(p: int, d: int):
+    """One vector per line of F_p^d: first nonzero coordinate 1."""
+    for first in range(d):
+        for tail in itertools.product(range(p), repeat=d - first - 1):
+            yield (0,) * first + (1,) + tail
+
+
+def spans_invariant_line(m: Matrix, v, p: int) -> bool:
+    """m v is a multiple of v, in plain integer arithmetic mod p."""
+    image = [sum(a * x for a, x in zip(row, v)) % p for row in m.rows]
+    c = image[next(i for i, x in enumerate(v) if x)]
+    return all((y - c * x) % p == 0 for x, y in zip(v, image))
+
+
+class TestCommonEigenvectorAgainstFullSpaceSearch:
+    @given(field=st.sampled_from([QQ, F2, F3, FF(5), FF(101)]), d=st.integers(0, 6),
+           seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_same_vector_as_the_full_space_search(self, field, d, seed):
+        mats = random_family(field, d, random.Random(seed))
+        assert common_eigenvector(mats, field, d) == full_space_search(mats, field, d)
+
+    @given(field=st.sampled_from([F2, F3]), d=st.integers(0, 4), seed=st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_against_every_line(self, field, d, seed):
+        mats = random_family(field, d, random.Random(seed))
+        p = field.characteristic
+        passing = [v for v in lines(p, d) if all(spans_invariant_line(m, v, p) for m in mats)]
+        v = common_eigenvector(mats, field, d)
+        if not passing:
+            assert v is None
+        else:
+            assert v is not None and all(spans_invariant_line(m, v, p) for m in mats)
 
 
 class TestChopExamples:
@@ -272,3 +373,37 @@ class TestInheritedReportsInChop:
         factors = chop(bar).factors
         assert [m is bar for m in reported] == [True]
         assert sum(f.dim for f in factors) == bar.dim
+
+
+class TestSl2PeelAgainstCharacter:
+    """Highest weights of a sum of irreducibles L(k) in a random basis: the
+    number of copies of L(k) is dim E_k(h) - dim E_(k+2)(h)."""
+
+    @staticmethod
+    def character_weights(h: Matrix, field) -> list:
+        d = h.nrows
+
+        def weight_dim(k):
+            shifted = h - Matrix.identity(field, d).scale(field.from_int(k))
+            return d - rank(shifted)
+
+        return [k for k in reversed(range(6)) for _ in range(weight_dim(k) - weight_dim(k + 2))]
+
+    @pytest.mark.parametrize("field", [QQ, FF(101)], ids=repr)
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_weights_match_the_character(self, field, seed):
+        rng = random.Random(seed)
+        blocks = [sl2_module_matrices(field, rng.randint(0, 5)) for _ in range(rng.randint(1, 3))]
+        d = sum(b[0].nrows for b in blocks)
+        offsets = list(itertools.accumulate((b[0].nrows for b in blocks), initial=0))
+        zero = field.zero()
+        triple = []
+        for i in range(3):
+            rows = [[zero] * d for _ in range(d)]
+            for block, start in zip(blocks, offsets):
+                for r, row in enumerate(block[i].rows):
+                    rows[start + r][start:start + len(row)] = row
+            triple.append(Matrix(field, rows))
+        e, h, f = in_random_basis(triple, field, rng)
+        assert _left_module_highest_weights(e, h, f, field) == self.character_weights(h, field)

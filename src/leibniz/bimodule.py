@@ -16,8 +16,9 @@ axioms, as operator identities per basis pair (x, y):
 products, truncations, composition series, Grothendieck classes) builds on
 the constructions in this module.
 
-One rule: a module is marked full when its construction guarantees all four
-axioms, and otherwise its axiom report is computed when asked.
+One rule, two marks: a module is marked full when its construction guarantees
+all four axioms, and weak when it guarantees LLM and LML (then its report checks
+only MLL); otherwise its axiom report is computed when asked.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class AxiomReport:
 
 
 FULL = AxiomReport(llm=True, lml=True, mll=True, zd=True, first_failure=None)
+_WEAK = "weak by construction"  # the mark, in ``_derived``, of a module with LLM and LML
 
 
 class Bimodule:
@@ -188,9 +190,16 @@ class BimoduleHomCandidate:
 
 def axiom_report(mod: Bimodule) -> AxiomReport:
     """Each axiom checked pair by pair; the first failure is the earliest
-    failing pair, LLM first on a tie."""
+    failing pair, LLM first on a tie.  A module marked weak checks only MLL,
+    up to its first failure, in the form of ZD: given LML at a pair, MLL
+    and ZD hold or fail there together."""
     alg = mod.algebra
     n = alg.dim
+    if mod._derived.get(_WEAK):
+        sums = [l + r for l, r in zip(mod.lam, mod.rho)]
+        pair = next(((i, j) for i in range(n) for j in range(n)
+                     if not (mod.rho[j] * sums[i]).is_zero()), None)
+        return FULL if pair is None else AxiomReport(True, True, False, False, ("mll", *pair))
     llm_pair = first_llm_failure(alg, mod.lam)
     llm, lml, mll, zd = llm_pair is None, True, True, True
     first = None
@@ -293,13 +302,21 @@ def one_dim_bimodule(algebra: LeibnizAlgebra, left_values, right_values) -> Bimo
     return Bimodule(algebra, lam, rho, 1)
 
 
+def _mark_weak(mod: Bimodule) -> Bimodule:
+    mod._derived[_WEAK] = True
+    return mod
+
+
 def _inherit(child: Bimodule, *inputs: Bimodule) -> Bimodule:
-    """``child`` marked full when every input's computed report is full;
-    with no inputs, full by construction.  Tensor and hom spaces and duals
-    are never marked."""
+    """``child`` marked full when every input's computed report is full
+    (with no inputs or no dimension, full by construction), and else marked
+    weak when every input is marked weak or has a computed weak report."""
     key = Bimodule.axiom_report.key()
-    if all(m._derived.get(key) == FULL for m in inputs):
+    reports = [m._derived.get(key) for m in inputs]
+    if not child.dim or all(r == FULL for r in reports):
         child._derived[key] = FULL
+    elif all(m._derived.get(_WEAK) or r and r.llm and r.lml for m, r in zip(inputs, reports)):
+        _mark_weak(child)
     return child
 
 
@@ -374,7 +391,8 @@ def kernels_and_invariants(mod: Bimodule) -> dict:
 def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
     """Smallest subspace containing the seeds and stable under every
     action matrix; each sweep adds to one row reducer the images of the
-    vectors that the last sweep added, until none is new."""
+    vectors that the last sweep added, until none is new; once F^n is
+    spanned, no further image is formed."""
     f = mod.field
     for s in seeds:
         if len(s) != mod.dim:
@@ -383,7 +401,7 @@ def subbimodule_closure(mod: Bimodule, seeds) -> Subspace:
     red.insert_all(seeds)
     frontier = red.rows
     while frontier:
-        images = (m.apply(v) for v in frontier for m in mod.actions)
+        images = (m.apply(v) for v in frontier for m in mod.actions if red.rank < mod.dim)
         frontier = [w for w in images if red.insert(w, _native=True)]
     return Subspace(f, mod.dim, red.basis(), tuple(red.pivots))
 
@@ -412,7 +430,7 @@ def _induced(mod: Bimodule, space: Subspace, induce, dim: int) -> Bimodule:
 
 def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
     """Linear maps src -> dst with (x.f) = lam' f - f lam and
-    (f.x) = rho' f - f rho; weak whenever both inputs are weak.
+    (f.x) = rho' f - f rho; marked weak, as both inputs must be.
 
     Maps are flattened row-major as dst.dim x src.dim matrices, so the
     operator of f -> A f B is A.kron(B^T).
@@ -425,7 +443,7 @@ def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
     im = Matrix.identity(f, src.dim)
     iN = Matrix.identity(f, dst.dim)
     actions = [t.kron(im) - iN.kron(s.transpose()) for s, t in zip(src.actions, dst.actions)]
-    return src.with_actions(actions, src.dim * dst.dim)
+    return _mark_weak(src.with_actions(actions, src.dim * dst.dim))
 
 
 def dual(mod: Bimodule) -> Bimodule:

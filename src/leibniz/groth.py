@@ -25,6 +25,7 @@ each ordered pair of its labels in a table that ``gr_mul`` reads;
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -271,11 +272,14 @@ def star_product(a: BaseRing, b: BaseRing) -> FusionRule:
     return FusionRule(f"star({a.name},{b.name})", a, b, 2)
 
 
+# one rule object, and so one product table, per builtin rule in a process
+@functools.lru_cache(maxsize=16)
 def weight_rule(field: Field, k: int) -> FusionRule:
     """Classes tagged by weight vectors in F^k: same-side tags add."""
     return FusionRule(f"weight:{k}", group_base(field, k), group_base(field, k), 2)
 
 
+@functools.lru_cache(maxsize=1)
 def sl2_rule() -> FusionRule:
     """Classes tagged by sl2 highest weights, fused by Clebsch-Gordan."""
     return FusionRule("sl2", cg_base(), cg_base(), 6)

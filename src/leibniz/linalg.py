@@ -434,9 +434,11 @@ def induced_on_quotient(mats: Sequence[Matrix], space: Subspace) -> list[Matrix]
 
 def _invariant_images(mats: Sequence[Matrix], space: Subspace) -> tuple[RowReducer, list]:
     """The reducer of ``space`` and, per matrix, the images of its basis
-    rows, each checked to lie in ``space`` by that one reducer."""
-    red, images = space.reducer(), [[m.apply(v) for v in space.basis.rows] for m in mats]
-    if not all(red.contains(w, _native=True) for ws in images for w in ws):
+    rows, each checked to lie in ``space`` by that one reducer.  F^n, whose
+    basis rows are the unit vectors, is invariant: its images are columns."""
+    red, whole = space.reducer(), space.dim == space.ambient_dim
+    images = [m.columns() if whole else [m.apply(v) for v in space.basis.rows] for m in mats]
+    if not whole and not all(red.contains(w, _native=True) for ws in images for w in ws):
         raise LinAlgError("subspace is not invariant under every matrix")
     return red, images
 

@@ -6,8 +6,8 @@ ordering (i, j) -> i*n + j.  On it the actions are
   lam_i = lam^M_i (x) I + I (x) lam^N_i
   rho_i = rho^M_i (x) I + I (x) rho^N_i
 
-which always satisfy LLM and LML for weak factors.  For full factors the
-MLL defect is measured by the span S of the vectors
+which satisfy LLM and LML for weak factors, as the cross terms cancel: the
+product is marked weak.  For full factors the MLL defect is the span S of
 
   (x.m + m.x) (x) (n.y) + (m.y) (x) (x.n + n.x)
 
@@ -30,6 +30,7 @@ from .bimodule import (
     Bimodule,
     BimoduleError,
     BimoduleHomCandidate,
+    _mark_weak,
     antisymmetrize,
     classify_flags,
     column_span,
@@ -53,7 +54,7 @@ def tensor_bimodule(a: Bimodule, b: Bimodule) -> Bimodule:
     im = Matrix.identity(f, a.dim)
     jn = Matrix.identity(f, b.dim)
     actions = [x.kron(jn) + im.kron(y) for x, y in zip(a.actions, b.actions)]
-    return a.with_actions(actions, a.dim * b.dim)
+    return _mark_weak(a.with_actions(actions, a.dim * b.dim))
 
 
 def tensor_of_subspaces(u: Subspace, w: Subspace) -> Subspace:

@@ -1,5 +1,6 @@
 """Bimodule axioms, kernels, constructions, hom/dual machinery."""
 
+import itertools
 import random
 
 import pytest
@@ -26,17 +27,19 @@ from leibniz.bimodule import (
     one_dim_bimodule,
     quotient,
     restrict,
+    sl2_irreducible,
     subbimodule_closure,
     symmetrize,
     trivial_bimodule,
 )
-from leibniz.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add
+from leibniz.linalg import Matrix, RowReducer, Subspace, nullspace, unit_vector, vec_add
 from leibniz.samples import (
     random_full_bimodule,
     random_invertible,
     random_left_module_matrices,
     random_weak_bimodule,
 )
+from leibniz.tensor import tensor_bimodule, trunc_bar, trunc_under
 
 F5 = FF(5)
 
@@ -75,6 +78,17 @@ def reference_report(mod):
                     flags[name] = False
                     first = first or (name, i, j)
     return flags, first
+
+
+def check_report(mod):
+    """``mod``'s report, checked against the report of a fresh module with
+    the same actions and against the elementwise reference."""
+    rep = mod.axiom_report()
+    assert rep == axiom_report(Bimodule(mod.algebra, mod.lam, mod.rho, mod.dim))
+    flags, first = reference_report(mod)
+    assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
+    assert rep.first_failure == first
+    return rep
 
 
 def count_reports(monkeypatch) -> list:
@@ -430,11 +444,7 @@ class TestInheritedReports:
         mod, other = (rng.choice(self.SAMPLERS)(alg, rng.randint(1, 3), rng) for _ in range(2))
         mod.axiom_report(), other.axiom_report()  # the inputs' reports are computed first
         for child in self.children(mod, other, rng):
-            rep = child.axiom_report()
-            assert rep == axiom_report(Bimodule(alg, child.lam, child.rho, child.dim))
-            flags, first = reference_report(child)
-            assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
-            assert rep.first_failure == first
+            check_report(child)
 
     def test_conjugate_of_a_failing_module_computes_its_own_report(self, monkeypatch):
         rng = random.Random(4)
@@ -497,11 +507,7 @@ class TestReportsByConstruction:
         conjugates = [conjugate(m, random_invertible(m.field, m.dim, rng)) for m in mods]
         sums = [direct_sum(rng.choice(mods), rng.choice(conjugates)) for _ in range(3)]
         for mod in mods + conjugates + sums:
-            rep = mod.axiom_report()
-            assert rep == axiom_report(Bimodule(mod.algebra, mod.lam, mod.rho, mod.dim))
-            flags, first = reference_report(mod)
-            assert (rep.llm, rep.lml, rep.mll, rep.zd) == tuple(flags.values())
-            assert rep.first_failure == first
+            check_report(mod)
 
     @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), F5], ids=repr)
     @given(seed=st.integers(0, 10**6))
@@ -518,11 +524,144 @@ class TestReportsByConstruction:
 
     @pytest.mark.parametrize("field", [QQ, FF(101)], ids=repr)
     def test_sl2_irreducibles(self, field):
-        from leibniz.bimodule import sl2_irreducible
-
         sl2 = make_sl2(field)
         mods = [sl2_irreducible(sl2, n, side) for n in range(5) for side in ("sym", "anti")]
         self.check(mods, random.Random(5))
+
+
+class TestWeakMarks:
+    """Tensor and hom spaces and duals are marked weak, and so are the
+    conjugates, sums and subquotients whose every input is weak; a module
+    marked weak checks only MLL, and its report must still equal the report
+    of a fresh module with the same actions and the elementwise reference."""
+
+    @staticmethod
+    def built(a, b):
+        yield tensor_bimodule(a, b)
+        yield hom_bimodule(a, b)
+        yield dual(a)
+        yield trunc_bar(a, b)
+        if a.is_full() and b.is_full():
+            yield trunc_under(a, b)
+
+    def check(self, a, b, bad, rng) -> set:
+        """The kinds reported for the modules built from (a, b) and for
+        their children, summed with a, b or the non-weak ``bad``; half the
+        time a module's own report is computed before its children are
+        built, so they inherit it, not its mark."""
+        kinds = set()
+        for mod in self.built(a, b):
+            if rng.random() < 0.5:
+                check_report(mod)
+            other = rng.choice([a, b, bad])
+            for child in TestInheritedReports.children(mod, other, rng):
+                kinds.add(check_report(child).kind)
+            kinds.add(check_report(mod).kind)
+        return kinds
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), F5], ids=repr)
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_weak_and_full_factors(self, field, seed):
+        rng = random.Random(seed)
+        alg = builtin_algebra(rng.choice(["A", "N", "e", "abelian:2"]), field)
+        samplers = (random_full_bimodule, random_weak_bimodule)
+        a, b = (rng.choice(samplers)(alg, rng.randint(1, 2), rng) for _ in range(2))
+        self.check(a, b, lml_failing_bimodule(alg, 2, rng), rng)
+
+    # L(2) (x) L(2) is left out over Q, where its random conjugates are slow
+    @pytest.mark.parametrize("field, top", [(QQ, 1), (FF(101), 2)], ids=["QQ", "FF(101)"])
+    def test_sl2_squares(self, field, top):
+        # rho = I breaks LML at [e, f] = h, where [lam_e, I] = 0
+        sl2, rng = make_sl2(field), random.Random(6)
+        bad = Bimodule(sl2, adjoint(sl2).lam, [Matrix.identity(field, 3)] * 3)
+        kinds = set()
+        for n, (left, right) in itertools.product(range(top + 1), [("sym", "sym"), ("sym", "anti"),
+                                                              ("anti", "sym"), ("anti", "anti")]):
+            a, b = sl2_irreducible(sl2, n, left), sl2_irreducible(sl2, n, right)
+            kinds |= self.check(a, b, bad, rng)
+        assert {"full", "weak", "left-only"} <= kinds  # MLL holds, MLL fails, and an LML failure
+
+    def test_weak_report_forms_only_mll_products(self, monkeypatch):
+        # one product rho_j (lam_i + rho_i) per pair and no LLM check: 3^2
+        # for L(3) (x)bar L(3), where MLL holds (the full check forms 33),
+        # and 1 for sym L(3) (x) anti L(3), which fails MLL at the first pair
+        import leibniz.bimodule as bimodule_mod
+
+        sl2 = make_sl2(QQ)
+        sym, anti = (sl2_irreducible(sl2, 3, side) for side in ("sym", "anti"))
+        bar, mixed = trunc_bar(sym, sym), tensor_bimodule(sym, anti)
+        products, llm_checks, mul = [], [], Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda x, y: products.append(x) or mul(x, y))
+        monkeypatch.setattr(bimodule_mod, "first_llm_failure", lambda *a: llm_checks.append(a))
+        assert (bar.dim, bar.axiom_report().kind, len(products)) == (16, "full", 9)
+        products.clear()
+        assert (mixed.axiom_report().first_failure, len(products)) == (("mll", 0, 0), 1)
+        assert mixed.kind == "weak" and llm_checks == []
+
+
+def fixed_point_closure(mod, seeds) -> Subspace:
+    """The span of the seeds, grown by the images of its basis under every
+    action until it stops growing."""
+    space = Subspace.span(mod.field, mod.dim, seeds)
+    while True:
+        vecs = space.basis_vectors()
+        vecs += [m.apply(v) for m in mod.actions for v in vecs]
+        grown = Subspace.span(mod.field, mod.dim, vecs)
+        if grown == space:
+            return space
+        space = grown
+
+
+class TestWholeSpace:
+    """F^n is invariant under any family: restricting to it keeps the
+    actions, the quotient by it is the 0-dimensional module, full by
+    construction, and a closure stops sweeping once it reaches it."""
+
+    def test_quotient_by_everything(self, monkeypatch):
+        mod = random_weak_bimodule(make_A(QQ), 3, random.Random(1))
+        reported, contains, original = count_reports(monkeypatch), [], RowReducer.contains
+        monkeypatch.setattr(RowReducer, "contains",
+                            lambda *a, **k: contains.append(a) or original(*a, **k))
+        quot = quotient(mod, Subspace.full(QQ, 3))
+        assert quot.dim == 0 and quot.actions == (Matrix.zeros(QQ, 0, 0),) * 4
+        assert quot.is_full() and reported == [] and contains == []
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), F5], ids=repr)
+    def test_restrict_to_everything_keeps_the_actions(self, field):
+        rng = random.Random(2)
+        for name in ("A", "N", "e", "abelian:2"):
+            for sampler in TestInheritedReports.SAMPLERS:
+                mod = sampler(builtin_algebra(name, field), rng.randint(1, 4), rng)
+                assert restrict(mod, Subspace.full(field, mod.dim)).actions == mod.actions
+
+    @pytest.mark.parametrize("construct", [restrict, quotient])
+    def test_proper_subspace_checked(self, construct):
+        # refused exactly when not invariant, up to dimension n - 1
+        rng, refused = random.Random(3), 0
+        for _ in range(40):
+            mod = random_weak_bimodule(make_N(FF(3)), rng.randint(2, 4), rng)
+            space = Subspace.span(FF(3), mod.dim, [[rng.randint(0, 2) for _ in range(mod.dim)]
+                                                   for _ in range(mod.dim - 1)])
+            if is_invariant(mod, space):
+                assert construct(mod, space).dim in (space.dim, mod.dim - space.dim)
+            else:
+                refused += 1
+                with pytest.raises(BimoduleError, match="not invariant"):
+                    construct(mod, space)
+        assert refused
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), F5], ids=repr)
+    def test_closure_equals_fixed_point(self, field):
+        rng, dims = random.Random(4), []
+        for _ in range(30):
+            alg = builtin_algebra(rng.choice(["A", "N", "e", "abelian:2"]), field)
+            mod = rng.choice(TestInheritedReports.SAMPLERS)(alg, rng.randint(1, 4), rng)
+            seeds = [[rng.randint(-1, 1) for _ in range(mod.dim)] for _ in range(rng.randint(0, 2))]
+            closure = subbimodule_closure(mod, seeds)
+            assert closure == fixed_point_closure(mod, seeds)
+            dims.append(closure.dim == mod.dim)
+        assert True in dims and False in dims
 
 
 class TestRandomLeftModules:

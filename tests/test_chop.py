@@ -350,7 +350,9 @@ class TestInheritedReportsInChop:
     def test_no_report_for_conjugated_factors_or_quotients(self, sides, monkeypatch):
         # the factors are conjugates of modules that symmetrize and
         # antisymmetrize mark full, and chop's subquotients of the full bar
-        # product inherit its report: only the bar product is checked
+        # product inherit its report: only the bar product is checked, and
+        # only when T is not all of M (x) N, since a 0-dimensional module is
+        # full by construction
         import leibniz.bimodule as bimodule_mod
 
         sl2, rng = make_sl2(QQ), random.Random(3)
@@ -371,7 +373,7 @@ class TestInheritedReportsInChop:
         bar = trunc_bar(a, b)
         trunc_under(a, b)
         factors = chop(bar).factors
-        assert [m is bar for m in reported] == [True]
+        assert [m is bar for m in reported] == [True] * (bar.dim > 0)
         assert sum(f.dim for f in factors) == bar.dim
 
 

@@ -533,10 +533,11 @@ def reference_window(rule, size):
     ]
 
 
+# rules with a fresh, empty product table: the builtins are kept per process
 TABLE_RULES = [
-    pytest.param(lambda: weight_rule(QQ, 1), 2, id="weight:1"),
-    pytest.param(lambda: weight_rule(QQ, 2), 2, id="weight:2"),
-    pytest.param(sl2_rule, 4, id="sl2"),
+    pytest.param(lambda: weight_rule.__wrapped__(QQ, 1), 2, id="weight:1"),
+    pytest.param(lambda: weight_rule.__wrapped__(QQ, 2), 2, id="weight:2"),
+    pytest.param(sl2_rule.__wrapped__, 4, id="sl2"),
 ]
 
 
@@ -585,6 +586,18 @@ class TestProductTable:
             product = gr_mul(rule, GrElement.of(a), GrElement.of(b))
             product.terms[UNIT] = 99
             assert gr_mul(rule, GrElement.of(a), GrElement.of(b)) == want
+
+    def test_one_product_per_rule_and_pair_in_a_battery(self, monkeypatch):
+        # checks 08, 09, 10a and 10b ask for the same builtin rules, so they
+        # share one product table per rule
+        assert weight_rule(QQ, 2) is weight_rule(QQ, 2) and sl2_rule() is sl2_rule()
+        weight_rule.cache_clear(), sl2_rule.cache_clear()
+        product, computed = groth_mod.FusionRule._product, []
+        body = product.__wrapped__
+        monkeypatch.setattr(product, "__wrapped__",
+                            lambda rule, *ab: computed.append((rule.name, *ab)) or body(rule, *ab))
+        suite.run_all(1)
+        assert len(computed) == len(set(computed)) == 6563
 
     def test_ordered_pairs_are_separate_entries(self):
         calls = []

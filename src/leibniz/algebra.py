@@ -96,12 +96,6 @@ class LeibnizAlgebra:
                         out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise AlgebraError(f"no basis element named {name!r}") from None
-
     def __eq__(self, other):
         return (
             isinstance(other, LeibnizAlgebra)

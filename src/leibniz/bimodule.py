@@ -98,6 +98,12 @@ class Bimodule:
         return self.algebra.field
 
     @_memo
+    def sums(self) -> tuple:
+        """The operators lam_i + rho_i, m -> x_i.m + m.x_i, one per basis
+        element: their columns span M0, and ZD and the MLL defect read them."""
+        return tuple(map(Matrix.__add__, self.lam, self.rho))
+
+    @_memo
     def axiom_report(self) -> AxiomReport:
         return axiom_report(self)
 
@@ -196,7 +202,7 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
     alg = mod.algebra
     n = alg.dim
     if mod._derived.get(_WEAK):
-        sums = [l + r for l, r in zip(mod.lam, mod.rho)]
+        sums = mod.sums()
         pair = next(((i, j) for i in range(n) for j in range(n)
                      if not (mod.rho[j] * sums[i]).is_zero()), None)
         return FULL if pair is None else AxiomReport(True, True, False, False, ("mll", *pair))
@@ -359,32 +365,24 @@ def is_invariant(mod: Bimodule, space: Subspace, side: str = "both") -> bool:
 
 @_memo
 def kernels_and_invariants(mod: Bimodule) -> dict:
-    """The four canonical subspaces together with invariance flags.
+    """The four canonical subspaces.
 
     M0   span{x.m + m.x}     (anti-symmetric kernel)
     MR   span{m.x}           (right translates)
     LM   span{x.m}           (left translates)
     Minv {m : m.x = 0 all x} (right invariants)
 
-    Whether M0 is invariant under the right action is reported, not
-    assumed: for merely weak bimodules this can genuinely fail.
+    Their invariance is not assumed: ``is_invariant`` checks it where it is
+    wanted, since for merely weak bimodules M0 can fail to be right-invariant.
     """
     if not mod.is_weak():
         raise BimoduleError("kernel data needs at least a weak bimodule")
-    f = mod.field
-    m0 = column_span(f, [l + r for l, r in zip(mod.lam, mod.rho)], mod.dim)
-    mr = column_span(f, mod.rho, mod.dim)
-    lm = column_span(f, mod.lam, mod.dim)
-    minv = nullspace(Matrix._of(f, [row for r in mod.rho for row in r.rows], mod.dim))
+    f, d = mod.field, mod.dim
     return {
-        "M0": m0,
-        "MR": mr,
-        "LM": lm,
-        "Minv": minv,
-        "M0_left_invariant": is_invariant(mod, m0, "left"),
-        "M0_right_invariant": is_invariant(mod, m0, "right"),
-        "MR_invariant": is_invariant(mod, mr),
-        "Minv_invariant": is_invariant(mod, minv),
+        "M0": column_span(f, mod.sums(), d),
+        "MR": column_span(f, mod.rho, d),
+        "LM": column_span(f, mod.lam, d),
+        "Minv": nullspace(Matrix._of(f, [row for r in mod.rho for row in r.rows], d)),
     }
 
 

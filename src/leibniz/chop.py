@@ -293,11 +293,11 @@ def _random_elements(mod: Bimodule, rng: random.Random, count: int):
     return out
 
 
-def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
+def _spin_chop(mod: Bimodule, rng: random.Random) -> list:
     field = mod.field
     d = mod.dim
     if d == 1:
-        return [factor_info(mod, certified=True)], True
+        return [factor_info(mod, certified=True)]
 
     exhaustive = False
     probes = [unit_vector(field, d, i) for i in range(d)]
@@ -325,11 +325,8 @@ def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
             found = nullspace(tfound.basis)
 
     if found is None:
-        return [factor_info(mod, certified=exhaustive)], exhaustive
-
-    sub_factors, sub_cert = _spin_chop(restrict(mod, found), rng)
-    quot_factors, quot_cert = _spin_chop(quotient(mod, found), rng)
-    return sub_factors + quot_factors, sub_cert and quot_cert
+        return [factor_info(mod, certified=exhaustive)]
+    return _spin_chop(restrict(mod, found), rng) + _spin_chop(quotient(mod, found), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -337,45 +334,42 @@ def _spin_chop(mod: Bimodule, rng: random.Random) -> tuple[list, bool]:
 
 
 def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
-    """Composition factors of a bimodule, with a certification flag.
+    """Composition factors of a bimodule, each with its certification flag.
 
-    Weak-but-not-full inputs are allowed but never certified.
+    The series is certified when the input is full and every factor is;
+    weak-but-not-full inputs are allowed but never certified.
     """
     if not mod.is_weak():
         raise BimoduleError("chop needs at least a weak bimodule")
     rng = random.Random(seed)
     strategies = []
 
-    def recurse(m: Bimodule) -> tuple[list, bool]:
+    def recurse(m: Bimodule) -> list:
         if m.dim == 0:
-            return [], True
+            return []
         vec = common_eigenvector(m.actions, m.field, m.dim)
         if vec is not None:
             if "weight" not in strategies:
                 strategies.append("weight")
             line = Subspace.span(m.field, m.dim, [vec])
-            head = factor_info(restrict(m, line), certified=True)
-            tail, cert = recurse(quotient(m, line))
-            return [head] + tail, cert
+            return [factor_info(restrict(m, line), certified=True)] + recurse(quotient(m, line))
         triple = sl2_triple_indices(m.algebra)
         p = m.field.characteristic
         if triple is not None and m.is_full() and (p == 0 or p > m.dim):
             if "sl2" not in strategies:
                 strategies.append("sl2")
-            return _sl2_chop(m, triple), True
+            return _sl2_chop(m, triple)
         if "spin" not in strategies:
             strategies.append("spin")
         return _spin_chop(m, rng)
 
-    factors, certified = recurse(mod)
-    if not mod.is_full():
-        certified = False
+    factors = recurse(mod)
     if sum(f.dim for f in factors) != mod.dim:
         raise BimoduleError("factor dimensions fail to sum to the module dimension")
     return CompositionReport(
         factors=factors,
         strategy="+".join(strategies) if strategies else "trivial",
-        certified=certified,
+        certified=mod.is_full() and all(f.certified for f in factors),
     )
 
 

@@ -35,6 +35,7 @@ from .bimodule import (
     adjoint,
     antisymmetrize,
     classify_flags,
+    is_invariant,
     kernels_and_invariants,
     one_dim_bimodule,
     sl2_irreducible,
@@ -83,26 +84,38 @@ def _parse_scalars(field, text: str):
     return [field.parse(tok) for tok in text.split(",") if tok != ""]
 
 
-def _spec_size(spec: str, text: str) -> int:
+# Largest module a spec builds: dense work on a module grows with the cube of
+# its dimension, so larger sizes are refused before any matrix is built.
+MAX_SPEC_DIM = 256
+
+
+def _spec_size(spec: str, text: str, dim_offset: int) -> int:
+    """The size in ``spec``, refused before anything is built when the module
+    it names, of dimension size + ``dim_offset``, exceeds MAX_SPEC_DIM."""
     try:
-        return int(text)
+        size = int(text)
     except ValueError:
         raise CliError(f"module spec {spec!r} needs an integer size, not {text!r}") from None
+    if size + dim_offset > MAX_SPEC_DIM:
+        raise CliError(f"module spec {spec!r} names a module of dimension "
+                       f"{size + dim_offset}, over the cap {MAX_SPEC_DIM}")
+    return size
 
 
 def resolve_bimodule(spec: str, algebra) -> Bimodule:
     """Module specs: adjoint | trivial:<d> | sym:<vals> | anti:<vals> |
-    sym:L<n> / anti:L<n> (sl2 highest weight) | onedim:<a>;<c> | file:<path>."""
+    sym:L<n> / anti:L<n> (sl2 highest weight) | onedim:<a>;<c> | file:<path>;
+    trivial and sl2 modules have dimension at most MAX_SPEC_DIM."""
     field = algebra.field
     if spec == "adjoint":
         return adjoint(algebra)
     kind, _, rest = spec.partition(":")
     if kind == "trivial":
-        return trivial_bimodule(algebra, _spec_size(spec, rest or "1"))
+        return trivial_bimodule(algebra, _spec_size(spec, rest or "1", 0))
     if kind in ("sym", "anti"):
         build = symmetrize if kind == "sym" else antisymmetrize
         if rest.startswith("L"):
-            return sl2_irreducible(algebra, _spec_size(spec, rest[1:]), kind)
+            return sl2_irreducible(algebra, _spec_size(spec, rest[1:], 1), kind)
         vals = _parse_scalars(field, rest)
         if len(vals) != algebra.dim:
             raise CliError(f"{kind}: expected {algebra.dim} functional values")
@@ -226,7 +239,7 @@ def cmd_bimodule(args):
             "MR_dim": data["MR"].dim,
             "LM_dim": data["LM"].dim,
             "Minv_dim": data["Minv"].dim,
-            "M0_right_invariant": data["M0_right_invariant"],
+            "M0_right_invariant": is_invariant(mod, data["M0"], "right"),
         }
     if args.dump:
         report["module"] = json.loads(mod.to_json())
@@ -284,9 +297,7 @@ def cmd_trunc_report(args):
         "T_equals_T0": data.t_equals_t0,
     }
     if not data.t_equals_t0:
-        report["RESEARCH_FINDING"] = (
-            "strict inclusion T < T0 observed; no such example was previously known"
-        )
+        report["RESEARCH_FINDING"] = "strict inclusion T < T0 observed"
     return report, data.containment_verified
 
 

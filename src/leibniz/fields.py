@@ -8,6 +8,11 @@ with one ``% p`` in characteristic p; it calls ``coerce`` only on values
 that enter through its public boundary.  The ``Field`` methods serve
 parsing, formatting, inversion and code outside the kernel.
 
+``Field`` states the arithmetic once: ``add``, ``sub``, ``mul``, ``neg`` and
+``format`` apply the Python operator and then the field's ``normal``, which
+is the identity over Q and ``x % p`` over F_p.  A subclass defines only what
+differs: its constants, ``normal``, ``coerce``, ``inv`` and its tag.
+
 Serialization: rationals print as ``a/b`` (gcd(a,b)=1, b>0, just ``a`` when
 b=1); prime-field residues print as their decimal value.
 """
@@ -55,17 +60,22 @@ class Field:
         """Bring an int (or already-exact scalar) into this field."""
         raise NotImplementedError
 
-    def add(self, a, b):
+    def normal(self, x):
+        """The native scalar equal to ``x``, an exact result of Python
+        operators on native scalars."""
         raise NotImplementedError
+
+    def add(self, a, b):
+        return self.normal(a + b)
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return self.normal(a - b)
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self.normal(a * b)
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.normal(-a)
 
     def inv(self, a):
         raise NotImplementedError
@@ -87,7 +97,7 @@ class Field:
         return self.div(self.from_int(num), self.from_int(den))
 
     def format(self, a) -> str:
-        raise NotImplementedError
+        return str(self.normal(a))
 
     def elements(self):
         """All field elements; only available for prime fields."""
@@ -130,25 +140,13 @@ class Rationals(Field):
             return Fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def normal(self, x):
+        return x
 
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
         return 1 / a
-
-    def format(self, a):
-        return str(a)
 
     @property
     def spec(self):
@@ -189,25 +187,13 @@ class PrimeField(Field):
             return x.numerator % self.p
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def normal(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def format(self, a):
-        return str(a % self.p)
 
     def elements(self):
         return list(range(self.p))

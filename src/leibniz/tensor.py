@@ -77,11 +77,9 @@ def mll_defect_span(a: Bimodule, b: Bimodule) -> Subspace:
 
     is the generator of (x, y, m_i, n_j), so S is the column span of these
     operators over all basis pairs (x, y)."""
-    sums_a = [l + r for l, r in zip(a.lam, a.rho)]
-    sums_b = [l + r for l, r in zip(b.lam, b.rho)]
     ops = [
         sa.kron(ry) + ra.kron(sb)
-        for sa, sb in zip(sums_a, sums_b)
+        for sa, sb in zip(a.sums(), b.sums())
         for ra, ry in zip(a.rho, b.rho)
     ]
     return column_span(a.field, ops, a.dim * b.dim)

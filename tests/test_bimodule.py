@@ -279,9 +279,10 @@ class TestKernels:
 
     def test_invariance_for_full(self):
         for alg in (make_A(QQ), make_N(QQ), make_S(QQ)):
-            data = kernels_and_invariants(adjoint(alg))
-            assert data["M0_left_invariant"] and data["M0_right_invariant"]
-            assert data["MR_invariant"]
+            mod = adjoint(alg)
+            data = kernels_and_invariants(mod)
+            assert is_invariant(mod, data["M0"], "left") and is_invariant(mod, data["M0"], "right")
+            assert is_invariant(mod, data["MR"])
 
     def test_invariance_for_weak(self):
         rng = random.Random(5)
@@ -289,8 +290,8 @@ class TestKernels:
             alg = rng.choice([make_e(QQ), make_A(QQ), make_e(F5)])
             mod = random_weak_bimodule(alg, rng.randint(1, 3), rng)
             data = kernels_and_invariants(mod)
-            assert data["MR_invariant"]
-            assert data["Minv_invariant"]
+            assert is_invariant(mod, data["MR"])
+            assert is_invariant(mod, data["Minv"])
 
     def test_right_invariants_are_the_meet_of_right_kernels(self):
         rng = random.Random(14)

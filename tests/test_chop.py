@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz.fields import QQ, FF
-from leibniz.algebra import make_A, make_N, make_S, make_e, make_sl2, sl2_module_matrices
+from leibniz.algebra import (make_A, make_N, make_S, make_abelian, make_e, make_sl2,
+                             sl2_module_matrices)
 from leibniz.bimodule import (
     BimoduleError,
     adjoint,
@@ -249,6 +250,45 @@ class TestChopExamples:
             mod = random_full_bimodule(make_e(F3), rng.randint(1, 3), rng)
             rep = chop(mod)
             assert sum(rep.dims) == mod.dim
+
+
+class TestPerFactorCertification:
+    """The report's flag is read off its factors: certified exactly when the
+    input is full and every factor is."""
+
+    @given(field=st.sampled_from([F2, F3, QQ]), build=st.sampled_from([make_e, make_A]),
+           weak=st.booleans(), dim=st.integers(1, 4), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_report_flag_is_read_off_factors(self, field, build, weak, dim, seed):
+        from leibniz.samples import random_weak_bimodule
+
+        sample = random_weak_bimodule if weak else random_full_bimodule
+        mod = sample(build(field), dim, random.Random(seed))
+        rep = chop(mod, seed=seed)
+        assert rep.certified == (mod.is_full() and all(f.certified for f in rep.factors))
+
+    @staticmethod
+    def rotation(field):
+        lam = [Matrix.from_ints(field, [[0, -1], [1, 0]])]
+        return symmetrize(make_abelian(field, 1), lam)
+
+    def test_rational_rotation_is_an_uncertified_leaf(self):
+        mod = self.rotation(QQ)
+        rep = chop(mod)
+        assert mod.is_full()
+        assert [(f.dim, f.certified) for f in rep.factors] == [(2, False)]
+        assert not rep.certified
+
+    def test_exhaustive_leaf_over_f3_is_certified(self):
+        rep = chop(self.rotation(F3))  # x^2 + 1 has no root mod 3
+        assert [(f.dim, f.certified) for f in rep.factors] == [(2, True)]
+        assert rep.certified
+
+    def test_weak_input_uncertified_with_certified_factors(self):
+        mod = one_dim_bimodule(make_e(QQ), [0], [1])
+        rep = chop(mod)
+        assert mod.is_weak() and not mod.is_full()
+        assert all(f.certified for f in rep.factors) and not rep.certified
 
 
 class TestBruteforceOracle:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, round trips, report contents."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,20 @@ class TestWorkedExamples:
         assert json.loads(out)["product"] == "S(2)+U"
 
 
+class TestTruncReport:
+    def test_strict_inclusion_of_w_square_is_reported(self, capsys):
+        # W of tests/test_tensor.py ``TestStrictTruncation``, read from a file
+        w = f"file:{Path(__file__).parent / 'data' / 'w_bimodule.json'}"
+        code, out, _ = run(
+            capsys, "trunc-report", "--example", "A", "--left", w, "--right", w, "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["T"]["dim"], doc["T0"]["dim"]) == (2, 3)
+        assert doc["containment_verified"] and not doc["T_equals_T0"]
+        assert doc["RESEARCH_FINDING"] == "strict inclusion T < T0 observed"
+
+
 class TestGrRules:
     @pytest.mark.parametrize("k", [0, 2])
     def test_gr_verify_weight_rule_keeps_its_dimension(self, capsys, k):
@@ -506,6 +521,31 @@ class TestOneLineErrors:
         assert code == 1
         assert err.startswith(f"error: module spec {spec!r} needs an integer size")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("spec", ["sym:L100000", "anti:L256", "trivial:100000", "trivial:257"])
+    def test_module_spec_dimension_capped(self, capsys, monkeypatch, spec):
+        def unreachable(*args):
+            raise AssertionError(f"{spec} reached a module builder")
+
+        monkeypatch.setattr(leibniz.cli, "sl2_irreducible", unreachable)
+        monkeypatch.setattr(leibniz.cli, "trivial_bimodule", unreachable)
+        code, out, err = run(capsys, "chop", "--example", "sl2", "--left", spec)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: module spec {spec!r} names a module of dimension")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_module_spec_dimension_cap_is_inclusive(self, capsys, monkeypatch):
+        built = []
+
+        def stub(algebra, n, side):
+            built.append(n)
+            return leibniz.cli.trivial_bimodule(algebra, 1)
+
+        monkeypatch.setattr(leibniz.cli, "sl2_irreducible", stub)
+        assert run(capsys, "bimodule", "--example", "sl2", "--module", "sym:L255")[0] == 0
+        assert built == [255]
+        code, out, _ = run(capsys, "bimodule", "--example", "sl2", "--module", "trivial:256")
+        assert code == 0 and "dim: 256" in out
 
     @pytest.mark.parametrize(
         "argv",

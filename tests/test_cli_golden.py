@@ -57,6 +57,14 @@ COMMANDS = [
     "gr props --rule weight:1 --window 1 --trials 50 --json",
     "gr verify --rule sl2 --max 1 --json",
     "paper-suite --json --seed 0",
+    "bimodule --example A --module onedim:0,0;0,1 --json",
+    "bimodule --example A --module onedim:0,1;0,0 --json",
+    "bimodule --example e --module onedim:0;1 --json",
+    "tensor --example sl2 --left sym:L1 --right anti:L1 --json",
+    "gr props --rule sl2 --window 2 --trials 60 --json",
+    "gr props --rule weight:2 --window 1 --trials 60 --json",
+    "gr verify --rule weight:1 --max 1 --json",
+    "paper-suite --json --seed 1",
 ]
 
 

@@ -163,6 +163,12 @@ class AlgebraMorphismData:
         )
 
 
+def first_pair(n: int, holds):
+    """The first pair (i, j) of basis indices below n, row by row, at which
+    ``holds(i, j)`` is false, or None."""
+    return next(((i, j) for i in range(n) for j in range(n) if not holds(i, j)), None)
+
+
 def first_llm_failure(alg: LeibnizAlgebra, mats):
     """The first basis pair (i, j), row by row, at which the left Leibniz
     identity mats[b_i b_j] = [mats[i], mats[j]] fails, or None; for left
@@ -174,8 +180,7 @@ def first_llm_failure(alg: LeibnizAlgebra, mats):
         lhs = expand_product(alg, i, j, mats)
         return lhs.is_zero() if i == j else lhs == product(i, j) - product(j, i)
 
-    n = alg.dim
-    return next(((i, j) for i in range(n) for j in range(n) if not holds(i, j)), None)
+    return first_pair(alg.dim, holds)
 
 
 @_memo
@@ -245,13 +250,10 @@ def is_lie(alg: LeibnizAlgebra):
     """None if antisymmetric + Jacobi hold, else a witness.  Given
     antisymmetry, Jacobi x(yz) + y(zx) + z(xy) = 0 is the left Leibniz
     identity, so the "jacobi" witness is that of ``validate_left_leibniz``."""
-    f = alg.field
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            s = vec_add(f, alg.table[i][j], alg.table[j][i])
-            if any(s):
-                return ("antisymmetry", i, j)
+    t = alg.table
+    pair = first_pair(alg.dim, lambda i, j: not any(vec_add(alg.field, t[i][j], t[j][i])))
+    if pair is not None:
+        return ("antisymmetry", *pair)
     failure = validate_left_leibniz(alg)
     return None if failure is None else ("jacobi", *failure)
 
@@ -428,8 +430,13 @@ BUILDERS = {
 }
 
 
+# the largest n of a builtin ``abelian:<n>``, whose table has n^3 entries
+MAX_ABELIAN_DIM = 32
+
+
 def builtin_algebra(name: str, field: Field) -> LeibnizAlgebra:
-    """Resolve a builder name: A | N | e | sl2 | hemi-sl2-L1 | abelian:<n>."""
+    """Resolve a builder name: A | N | e | sl2 | hemi-sl2-L1 | abelian:<n>,
+    with n at most MAX_ABELIAN_DIM."""
     if name in BUILDERS:
         return BUILDERS[name](field)
     if name.startswith("abelian:"):
@@ -437,5 +444,7 @@ def builtin_algebra(name: str, field: Field) -> LeibnizAlgebra:
             n = int(name.split(":", 1)[1])
         except ValueError:
             raise AlgebraError(f"bad abelian dimension in {name!r}") from None
+        if n > MAX_ABELIAN_DIM:
+            raise AlgebraError(f"abelian dimension {n} is over the cap {MAX_ABELIAN_DIM}")
         return make_abelian(field, n)
     raise AlgebraError(f"unknown builtin algebra {name!r}")

@@ -12,9 +12,11 @@ axioms, as operator identities per basis pair (x, y):
   (MLL)  rho_y rho_x = rho_{xy} - lam_x rho_y
   (ZD)   rho_y (lam_x + rho_x) = 0        (equivalent to MLL given LML)
 
-"weak" means LLM + LML; "full" adds MLL.  Everything downstream (tensor
-products, truncations, composition series, Grothendieck classes) builds on
-the constructions in this module.
+"weak" means LLM + LML; "full" adds MLL.  A report scans the basis pairs
+once per axiom (``algebra.first_pair``), and ``intertwines`` is the one
+check of a bimodule map.  Everything downstream (tensor products,
+truncations, composition series, Grothendieck classes) builds on the
+constructions in this module.
 
 One rule, two marks: a module is marked full when its construction guarantees
 all four axioms, and weak when it guarantees LLM and LML (then its report checks
@@ -23,11 +25,12 @@ only MLL); otherwise its axiom report is computed when asked.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
-from .algebra import (LeibnizAlgebra, _memo, expand_product, first_llm_failure, mult_ops,
-                      sl2_module_matrices)
+from .algebra import (LeibnizAlgebra, _memo, expand_product, first_llm_failure, first_pair,
+                      mult_ops, sl2_module_matrices)
 from .fields import Field
 from .linalg import (LinAlgError, Matrix, RowReducer, Subspace, induced_on_quotient,
                      induced_on_subspace, invert, nullspace)
@@ -179,66 +182,35 @@ class Bimodule:
         return Bimodule(algebra, lam, rho, dim)
 
 
-@dataclass
-class BimoduleHomCandidate:
-    """A linear map between bimodules, checked for equivariance on demand."""
-
-    domain: Bimodule
-    codomain: Bimodule
-    matrix: Matrix  # codomain.dim x domain.dim
-
-    def intertwines(self) -> bool:
-        if self.domain.algebra != self.codomain.algebra:
-            return False
-        b = self.matrix
-        return all(b * s == t * b for s, t in zip(self.domain.actions, self.codomain.actions))
+def intertwines(src: Bimodule, dst: Bimodule, matrix: Matrix) -> bool:
+    """Is ``matrix`` (dst.dim x src.dim) a bimodule map src -> dst, that is,
+    does it carry each action on src to the matching action on dst?"""
+    return src.algebra == dst.algebra and all(
+        matrix * s == t * matrix for s, t in zip(src.actions, dst.actions))
 
 
 def axiom_report(mod: Bimodule) -> AxiomReport:
-    """Each axiom checked pair by pair; the first failure is the earliest
-    failing pair, LLM first on a tie.  A module marked weak checks only MLL,
-    up to its first failure, in the form of ZD: given LML at a pair, MLL
-    and ZD hold or fail there together."""
-    alg = mod.algebra
+    """One scan of the basis pairs per axiom; an axiom holds when its scan
+    finds no failing pair, and the first failure is the earliest failing
+    pair, in the order LLM, LML, MLL, ZD on a tie.  A module marked weak
+    scans only ZD, reported as MLL: given LML at a pair, MLL and ZD hold or
+    fail there together."""
+    alg, lam, rho, sums = mod.algebra, mod.lam, mod.rho, mod.sums()
     n = alg.dim
+    zd = first_pair(n, lambda i, j: (rho[j] * sums[i]).is_zero())
     if mod._derived.get(_WEAK):
-        sums = mod.sums()
-        pair = next(((i, j) for i in range(n) for j in range(n)
-                     if not (mod.rho[j] * sums[i]).is_zero()), None)
-        return FULL if pair is None else AxiomReport(True, True, False, False, ("mll", *pair))
-    llm_pair = first_llm_failure(alg, mod.lam)
-    llm, lml, mll, zd = llm_pair is None, True, True, True
-    first = None
-
-    def fail(name, i, j):
-        nonlocal first
-        if first is None:
-            first = (name, i, j)
-
-    # each product below is formed at most once per pair, and only while an
-    # axiom that reads it still holds
-    for i in range(n):
-        for j in range(n):
-            li, ri, rj = mod.lam[i], mod.rho[i], mod.rho[j]
-            if (i, j) == llm_pair:
-                fail("llm", i, j)
-            if lml or mll:
-                rho_ij = expand_product(alg, i, j, mod.rho)
-                li_rj = li * rj
-            if lml or zd:
-                rj_li = rj * li
-            if mll or zd:
-                rj_ri = rj * ri
-            if lml and rho_ij != li_rj - rj_li:
-                lml = False
-                fail("lml", i, j)
-            if mll and rj_ri != rho_ij - li_rj:
-                mll = False
-                fail("mll", i, j)
-            if zd and not (rj_li + rj_ri).is_zero():
-                zd = False
-                fail("zd", i, j)
-    return AxiomReport(llm=llm, lml=lml, mll=mll, zd=zd, first_failure=first)
+        return FULL if zd is None else AxiomReport(True, True, False, False, ("mll", *zd))
+    rho_ij = functools.cache(lambda i, j: expand_product(alg, i, j, rho))
+    li_rj = functools.cache(lambda i, j: lam[i] * rho[j])
+    pairs = (
+        first_llm_failure(alg, lam),
+        first_pair(n, lambda i, j: rho_ij(i, j) == li_rj(i, j) - rho[j] * lam[i]),
+        first_pair(n, lambda i, j: rho[j] * rho[i] == rho_ij(i, j) - li_rj(i, j)),
+        zd,
+    )
+    first = min(((pair, k) for k, pair in enumerate(pairs) if pair is not None), default=None)
+    failure = None if first is None else (("llm", "lml", "mll", "zd")[first[1]], *first[0])
+    return AxiomReport(*(pair is None for pair in pairs), first_failure=failure)
 
 
 def classify_flags(mod: Bimodule) -> dict:
@@ -475,23 +447,14 @@ def duality_morphism_checks(mod: Bimodule) -> dict:
     ev = Matrix(f, ev_rows)  # on M* (x) M and equally on M (x) M*
     coev_col = Matrix(f, [[o] if (a % d) == (a // d) else [z] for a in range(d * d)])
 
-    checks = {}
-    checks["ev"] = BimoduleHomCandidate(
-        tensor_bimodule(dmod, mod), triv, ev
-    ).intertwines()
-    checks["ev_prime"] = BimoduleHomCandidate(
-        tensor_bimodule(mod, dmod), triv, ev
-    ).intertwines()
-    checks["coev"] = BimoduleHomCandidate(
-        triv, tensor_bimodule(mod, dmod), coev_col
-    ).intertwines()
-    checks["coev_prime"] = BimoduleHomCandidate(
-        triv, tensor_bimodule(dmod, mod), coev_col
-    ).intertwines()
-    ddual = dual(dmod)
-    checks["double_dual"] = BimoduleHomCandidate(
-        mod, ddual, Matrix.identity(f, d)
-    ).intertwines()
+    maps = {
+        "ev": (tensor_bimodule(dmod, mod), triv, ev),
+        "ev_prime": (tensor_bimodule(mod, dmod), triv, ev),
+        "coev": (triv, tensor_bimodule(mod, dmod), coev_col),
+        "coev_prime": (triv, tensor_bimodule(dmod, mod), coev_col),
+        "double_dual": (mod, dual(dmod), Matrix.identity(f, d)),
+    }
+    checks = {name: intertwines(*m) for name, m in maps.items()}
     scalar = (ev * coev_col).rows[0][0]
     checks["contraction_scalar"] = scalar == f.from_int(d)
     return checks

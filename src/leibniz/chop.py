@@ -377,19 +377,22 @@ def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
 # the exhaustive oracle
 
 
-def bruteforce_invariant_subspaces(
-    mod: Bimodule, max_dim: int = 4, max_p: int = 7
-) -> list[Subspace]:
+# the largest prime of the exhaustive oracle
+BRUTEFORCE_MAX_P = 7
+
+
+def bruteforce_invariant_subspaces(mod: Bimodule, max_dim: int = 4) -> list[Subspace]:
     """All subspaces of F_p^m invariant under every action matrix, found
     by enumerating every subspace in echelon normal form.  Bounded on
-    purpose: the count grows like p^(dim^2/4)."""
+    purpose, to p <= BRUTEFORCE_MAX_P and m <= max_dim: the count grows
+    like p^(m^2/4)."""
     field = mod.field
     p = field.characteristic
     if p == 0:
         raise BimoduleError("subspace enumeration needs a prime field")
-    if p > max_p or mod.dim > max_dim:
+    if p > BRUTEFORCE_MAX_P or mod.dim > max_dim:
         raise BimoduleError(
-            f"enumeration bounds exceeded (p <= {max_p}, dim <= {max_dim})"
+            f"enumeration bounds exceeded (p <= {BRUTEFORCE_MAX_P}, dim <= {max_dim})"
         )
     d = mod.dim
     out = []

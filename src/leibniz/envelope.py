@@ -275,14 +275,10 @@ class AlgebraHom:
             out = poly_add(f, out, term)
         return out
 
-    def verify(self, degree: int | None = None) -> bool:
+    def verify(self) -> bool:
         """Every source relation maps into the target's ideal span."""
-        for rel in self.source.relations:
-            image = self.substitute(rel)
-            d = degree if degree is not None else max(2, poly_degree(image))
-            if not self.target.in_ideal(image, d):
-                return False
-        return True
+        images = map(self.substitute, self.source.relations)
+        return all(self.target.in_ideal(im, max(2, poly_degree(im))) for im in images)
 
 
 def _lie_generator_images(alg: LeibnizAlgebra):
@@ -344,18 +340,12 @@ def check_section_identities(alg: LeibnizAlgebra, cutoff: int = 3) -> dict:
     data = standard_homs(alg, cutoff)
     ulie = data["ulie"]
     f = alg.field
-    out = {}
-    for name in ("d0", "d1"):
-        ok = True
-        for j in range(ulie.ngens):
-            composed = data[name].substitute(data["s0"].images[j])
-            diff = poly_add(
-                f, composed, {(j,): f.neg(f.one())}
-            )
-            if diff and not ulie.in_ideal(diff, 2):
-                ok = False
-                break
-        out[f"{name}_s0"] = ok
+
+    def fixes(name: str, j: int) -> bool:
+        diff = poly_add(f, data[name].substitute(data["s0"].images[j]), {(j,): f.neg(f.one())})
+        return not diff or ulie.in_ideal(diff, 2)
+
+    out = {f"{name}_s0": all(fixes(name, j) for j in range(ulie.ngens)) for name in ("d0", "d1")}
     out["kernel_product"] = kernel_products_vanish(data["ul"])
     return out
 
@@ -365,14 +355,9 @@ def kernel_products_vanish(pres: PresentedAlgebra) -> bool:
     alg = pres.algebra
     if alg is None or pres.which not in ("ul", "ulweak"):
         raise EnvelopeError("kernel products are defined for envelope presentations")
-    f = pres.field
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            poly = {(n + i, j): f.one(), (n + i, n + j): f.one()}
-            if not pres.in_ideal(poly, 2):
-                return False
-    return True
+    n, one = alg.dim, pres.field.one()
+    return all(pres.in_ideal({(n + i, j): one, (n + i, n + j): one}, 2)
+               for i in range(n) for j in range(n))
 
 
 def degree_one_primitive_dim(pres: PresentedAlgebra) -> int:

@@ -334,11 +334,11 @@ def identity_checkers(
     combos = [_random_element(window, rng) for _ in range(trials)]
     mul = lambda x, y: gr_mul(rule, x, y)
 
-    def verdict(name, cases, lhs_fn, rhs_fn) -> Verdict:
+    def verdict(name, cases, sides) -> Verdict:
         tested = 0
         for case in cases:
             tested += 1
-            lhs, rhs = lhs_fn(*case), rhs_fn(*case)
+            lhs, rhs = sides(*case)
             if lhs != rhs:
                 witness = {"elements": case, "lhs": lhs, "rhs": rhs}
                 return Verdict(name, False, tested, witness)
@@ -375,35 +375,16 @@ def identity_checkers(
         for u in combos:
             yield (u,)
 
-    out = {}
-    out["commutative"] = verdict(
-        "commutative", pair_cases(), lambda u, v: mul(u, v), lambda u, v: mul(v, u)
-    )
-    out["associative"] = verdict(
-        "associative",
-        triple_cases(),
-        lambda u, v, w: mul(mul(u, v), w),
-        lambda u, v, w: mul(u, mul(v, w)),
-    )
-    out["alternative"] = verdict(
-        "alternative",
-        pair_cases(),
-        lambda u, v: mul(mul(u, u), v),
-        lambda u, v: mul(u, mul(u, v)),
-    )
-    out["jordan"] = verdict(
-        "jordan",
-        pair_cases(),
-        lambda u, v: mul(mul(mul(u, u), v), u),
-        lambda u, v: mul(mul(u, u), mul(v, u)),
-    )
-    out["power_associative"] = verdict(
-        "power_associative",
-        single_cases(),
-        lambda u: mul(mul(u, u), mul(u, u)),
-        lambda u: mul(mul(mul(u, u), u), u),
-    )
-    return out
+    sq = lambda u: mul(u, u)
+    # evaluated in this order: the triple cases draw from ``rng`` as they go
+    laws = {
+        "commutative": (pair_cases, lambda u, v: (mul(u, v), mul(v, u))),
+        "associative": (triple_cases, lambda u, v, w: (mul(mul(u, v), w), mul(u, mul(v, w)))),
+        "alternative": (pair_cases, lambda u, v: (mul(sq(u), v), mul(u, mul(u, v)))),
+        "jordan": (pair_cases, lambda u, v: (mul(mul(sq(u), v), u), mul(sq(u), mul(v, u)))),
+        "power_associative": (single_cases, lambda u: (mul(sq(u), sq(u)), mul(mul(sq(u), u), u))),
+    }
+    return {name: verdict(name, cases(), sides) for name, (cases, sides) in laws.items()}
 
 
 def criterion_scan(rule: FusionRule, window: list | None = None) -> list[dict]:
@@ -526,7 +507,7 @@ class ClassRegistry:
         return build(self.algebra, [Matrix(f, [[v]]) for v in values], 1)
 
 
-def class_of_bimodule(mod, registry: ClassRegistry, seed: int = 0) -> GrElement:
+def class_of_bimodule(mod, registry: ClassRegistry) -> GrElement:
     """Sum of factor labels of a certified composition series."""
     from .chop import chop
 
@@ -534,7 +515,7 @@ def class_of_bimodule(mod, registry: ClassRegistry, seed: int = 0) -> GrElement:
         raise GrothError(f"unknown registry kind {registry.kind!r}")
     if mod.algebra != registry.algebra:
         raise GrothError("bimodule algebra does not match the registry")
-    report = chop(mod, seed=seed)
+    report = chop(mod)
     if not report.certified:
         raise GrothError(
             "composition series is not certified; refusing to assign a class"

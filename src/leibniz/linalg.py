@@ -269,9 +269,10 @@ class RowReducer:
         return not self._eliminate(self._sparse(vec, _native))
 
     def insert(self, vec, _native: bool = False) -> bool:
-        """Add ``vec`` to the span; True if the rank grew."""
-        v = self._eliminate(self._sparse(vec, _native))
-        if not v:
+        """Add ``vec`` to the span; True if the rank grew.  Once the rows
+        span the whole width, ``vec`` is only checked, not eliminated."""
+        v = self._sparse(vec, _native)
+        if self.rank == self.width or not self._eliminate(v):
             return False
         pivot = min(v)
         c, p = self.field.inv(v[pivot]), self.field.characteristic

@@ -29,12 +29,12 @@ from .algebra import LeibnizAlgebra, _memo, products_and_series
 from .bimodule import (
     Bimodule,
     BimoduleError,
-    BimoduleHomCandidate,
     _mark_weak,
     antisymmetrize,
     classify_flags,
     column_span,
     direct_sum,
+    intertwines,
     kernels_and_invariants,
     quotient,
     subbimodule_closure,
@@ -62,10 +62,6 @@ def tensor_of_subspaces(u: Subspace, w: Subspace) -> Subspace:
     the Kronecker product of the two basis matrices."""
     ambient = u.ambient_dim * w.ambient_dim
     return Subspace.span(u.field, ambient, u.basis.kron(w.basis).rows, _native=True)
-
-
-def image_subspace(p: Matrix, s: Subspace) -> Subspace:
-    return Subspace.span(p.field, p.nrows, [p.apply(v) for v in s.basis_vectors()])
 
 
 @_memo
@@ -136,29 +132,21 @@ def trunc_under(a: Bimodule, b: Bimodule) -> Bimodule:
 def truncation_collapse_check(a: Bimodule, b: Bimodule) -> dict:
     """For a symmetric or anti-symmetric factor, T and T0 collapse to a
     single product subspace; verify the applicable equalities."""
-    flags_a = classify_flags(a)
-    flags_b = classify_flags(b)
-    if not any(
-        (flags_a["symmetric"], flags_a["anti_symmetric"],
-         flags_b["symmetric"], flags_b["anti_symmetric"])
-    ):
+    fa, fb = classify_flags(a), classify_flags(b)
+    # per case: does it apply, and the factors of the one product subspace
+    table = {
+        "left_symmetric": (fa["symmetric"], "LM", "M0"),
+        "left_anti_symmetric": (fa["anti_symmetric"], "LM", "MR"),
+        "right_symmetric": (fb["symmetric"], "M0", "LM"),
+        "right_anti_symmetric": (fb["anti_symmetric"], "MR", "LM"),
+    }
+    if not any(applies for applies, _, _ in table.values()):
         raise BimoduleError("no symmetric or anti-symmetric factor: inapplicable")
     data = truncation_data(a, b)
-    ka = kernels_and_invariants(a)
-    kb = kernels_and_invariants(b)
-    cases = {}
-    if flags_a["symmetric"]:
-        expected = tensor_of_subspaces(ka["LM"], kb["M0"])
-        cases["left_symmetric"] = data.t == expected and data.t0 == expected
-    if flags_a["anti_symmetric"]:
-        expected = tensor_of_subspaces(ka["LM"], kb["MR"])
-        cases["left_anti_symmetric"] = data.t == expected and data.t0 == expected
-    if flags_b["symmetric"]:
-        expected = tensor_of_subspaces(ka["M0"], kb["LM"])
-        cases["right_symmetric"] = data.t == expected and data.t0 == expected
-    if flags_b["anti_symmetric"]:
-        expected = tensor_of_subspaces(ka["MR"], kb["LM"])
-        cases["right_anti_symmetric"] = data.t == expected and data.t0 == expected
+    ka, kb = kernels_and_invariants(a), kernels_and_invariants(b)
+    expected = {name: tensor_of_subspaces(ka[x], kb[y])
+                for name, (applies, x, y) in table.items() if applies}
+    cases = {name: data.t == e and data.t0 == e for name, e in expected.items()}
     return {"cases": cases, "all_hold": all(cases.values()), "data": data}
 
 
@@ -181,9 +169,7 @@ def structural_checks(l: Bimodule, m: Bimodule, n: Bimodule) -> dict:
     """Flip/associator/unit equivariance plus truncation compatibility."""
     out = {}
     gamma = flip_matrix(m, n)
-    out["flip_is_morphism"] = BimoduleHomCandidate(
-        tensor_bimodule(m, n), tensor_bimodule(n, m), gamma
-    ).intertwines()
+    out["flip_is_morphism"] = intertwines(tensor_bimodule(m, n), tensor_bimodule(n, m), gamma)
 
     left_nested = tensor_bimodule(tensor_bimodule(l, m), n)
     right_nested = tensor_bimodule(l, tensor_bimodule(m, n))
@@ -197,22 +183,18 @@ def structural_checks(l: Bimodule, m: Bimodule, n: Bimodule) -> dict:
     full = m.is_full() and n.is_full()
     kernels = (truncation_kernel, coarse_kernel) if full else (truncation_kernel,)
     out["flip_descends_to_truncations"] = all(
-        image_subspace(gamma, kernel(m, n)) == kernel(n, m) for kernel in kernels
+        Subspace.span(l.field, gamma.nrows, [gamma.apply(v) for v in kernel(m, n).basis_vectors()])
+        == kernel(n, m) for kernel in kernels
     )
 
     sum_mn = direct_sum(m, n)
-    dims_bar = (
-        trunc_bar(l, sum_mn).dim,
-        trunc_bar(l, m).dim + trunc_bar(l, n).dim,
-    )
-    out["distributivity_dims"] = {"bar": dims_bar, "bar_equal": dims_bar[0] == dims_bar[1]}
-    if l.is_full() and m.is_full() and n.is_full():
-        dims_under = (
-            trunc_under(l, sum_mn).dim,
-            trunc_under(l, m).dim + trunc_under(l, n).dim,
-        )
-        out["distributivity_dims"]["under"] = dims_under
-        out["distributivity_dims"]["under_equal"] = dims_under[0] == dims_under[1]
+    products = {"bar": trunc_bar}
+    if full and l.is_full():
+        products["under"] = trunc_under
+    out["distributivity_dims"] = dims = {}
+    for name, prod in products.items():
+        dims[name] = (prod(l, sum_mn).dim, prod(l, m).dim + prod(l, n).dim)
+        dims[f"{name}_equal"] = dims[name][0] == dims[name][1]
     return out
 
 

@@ -11,7 +11,6 @@ from leibniz.algebra import builtin_algebra, make_A, make_N, make_S, make_abelia
 from leibniz.bimodule import (
     Bimodule,
     BimoduleError,
-    BimoduleHomCandidate,
     adjoint,
     antisymmetrize,
     axiom_report,
@@ -22,6 +21,7 @@ from leibniz.bimodule import (
     dual,
     duality_morphism_checks,
     hom_bimodule,
+    intertwines,
     is_invariant,
     kernels_and_invariants,
     one_dim_bimodule,
@@ -803,19 +803,19 @@ class TestWeakIrreducibles:
 class TestHomCandidate:
     def test_identity_intertwines(self):
         ad = adjoint(make_A(QQ))
-        assert BimoduleHomCandidate(ad, ad, Matrix.identity(QQ, 2)).intertwines()
+        assert intertwines(ad, ad, Matrix.identity(QQ, 2))
 
     def test_projection_to_quotient_intertwines(self):
         ad = adjoint(make_A(QQ))
         line = Subspace.span(QQ, 2, [(0, 1)])
         q = quotient(ad, line)
         proj = Matrix(QQ, [[1, 0]])  # kill e, keep h
-        assert BimoduleHomCandidate(ad, q, proj).intertwines()
+        assert intertwines(ad, q, proj)
 
     def test_broken_map_detected(self):
         ad = adjoint(make_A(QQ))
         bad = Matrix(QQ, [[0, 1], [1, 0]])
-        assert not BimoduleHomCandidate(ad, ad, bad).intertwines()
+        assert not intertwines(ad, ad, bad)
 
 
 class TestSerialization:

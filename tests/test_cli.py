@@ -562,6 +562,24 @@ class TestOneLineErrors:
         assert err.startswith("error: modulus") and "too large" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_abelian_dimension_capped(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("abelian:100000 reached make_abelian")
+
+        monkeypatch.setattr(leibniz.algebra, "make_abelian", unreachable)
+        code, out, err = run(capsys, "check", "--example", "abelian:100000")
+        assert code == 1 and out == ""
+        assert err == "error: abelian dimension 100000 is over the cap 32\n"
+
+    def test_abelian_dimension_cap_is_inclusive(self, capsys, monkeypatch):
+        built = []
+        make = leibniz.algebra.make_abelian
+        monkeypatch.setattr(leibniz.algebra, "make_abelian",
+                            lambda field, n: built.append(n) or make(field, n))
+        cap = leibniz.algebra.MAX_ABELIAN_DIM
+        code, out, _ = run(capsys, "kernel", "--example", f"abelian:{cap}")
+        assert (cap, code, built) == (32, 0, [32]) and "dim: 0" in out
+
     def test_malformed_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("LEIBNIZ_SEED", "abc")
         code, _, err = run(capsys, "check", "--example", "A")

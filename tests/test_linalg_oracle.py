@@ -452,6 +452,25 @@ class TestSparseRowReducer:
                 method(["x", 0, 0])
 
     @pytest.mark.parametrize("field", [QQ, FF(5)], ids=repr)
+    def test_full_reducer_checks_without_eliminating(self, field, monkeypatch):
+        # once the rows span the whole width, insert adds and eliminates
+        # nothing, yet still rejects what it would reject before
+        red = RowReducer(field, 2)
+        red.insert_all([[1, 1], [0, 3]])
+        eliminated, eliminate = [], RowReducer._eliminate
+        monkeypatch.setattr(RowReducer, "_eliminate",
+                            lambda *a: eliminated.append(a) or eliminate(*a))
+        assert not red.insert([3, 4]) and not red.insert({1: 2})
+        for bad in ([1, 2, 3], [1], {2: 1}):
+            with pytest.raises(LinAlgError):
+                red.insert(bad)
+        with pytest.raises(LinAlgError, match="length"):
+            red.insert((1, 2, 3), _native=True)
+        with pytest.raises(FieldError):
+            red.insert(["x", 0])
+        assert eliminated == [] and red.basis() == Matrix.identity(field, 2)
+
+    @pytest.mark.parametrize("field", [QQ, FF(5)], ids=repr)
     def test_native_rows_of_the_wrong_length_rejected(self, field):
         # native rows skip coercion, not the length check: too short would
         # pad silently and too long would index past the width

@@ -17,10 +17,10 @@ from leibniz.algebra import (
 from leibniz.bimodule import (
     Bimodule,
     BimoduleError,
-    BimoduleHomCandidate,
     adjoint,
     antisymmetrize,
     classify_flags,
+    intertwines,
     one_dim_bimodule,
     symmetrize,
     trivial_bimodule,
@@ -367,7 +367,7 @@ class TestStructuralChecks:
         induced = Matrix(
             QQ, [[cols[j][i] for j in range(len(keep))] for i in range(len(keep))]
         )
-        assert BimoduleHomCandidate(q1, q2, induced).intertwines()
+        assert intertwines(q1, q2, induced)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)

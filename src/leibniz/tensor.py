@@ -19,6 +19,9 @@ both factors are full, and can be strictly smaller: tests/test_tensor.py
 
 The data of an ordered pair (M, N) -- M (x) N, S, T, T0 and both truncated
 products -- is computed once and kept on the left factor M, keyed by N.
+Structure morphisms are checked by ``bimodule.intertwines``; the collapse of
+T and T0 for a symmetric or anti-symmetric factor is one table of its four
+cases, and distributivity over direct sums one loop over the products.
 """
 
 from __future__ import annotations

@@ -65,6 +65,16 @@ COMMANDS = [
     "gr props --rule weight:2 --window 1 --trials 60 --json",
     "gr verify --rule weight:1 --max 1 --json",
     "paper-suite --json --seed 1",
+    "envelope --example N --cutoff 2 --homs --json",
+    "envelope --example sl2 --cutoff 2 --homs --json",
+    "envelope --example hemi-sl2-L1 --cutoff 2 --homs --json",
+    "envelope --example A --field Fp:3 --cutoff 3 --homs --json",
+    "canonical-lie --example A --json",
+    "canonical-lie --example sl2 --field Fp:3 --json",
+    "canonical-lie --example abelian:2 --json",
+    "kernel --example sl2 --json",
+    "kernel --example N --field Fp:2 --json",
+    "kernel --example abelian:3 --json",
 ]
 
 

@@ -4,6 +4,8 @@ An algebra is given by a table ``c[i][j][k]`` meaning
 ``b_i b_j = sum_k c[i][j][k] b_k``.  Validity means every left
 multiplication operator is a derivation: x(yz) = (xy)z + y(xz) on all
 basis triples, or equivalently L_{xy} = [L_x, L_y] on all basis pairs.
+Products are kernel operations on the structure matrix T (column i*n + j is
+b_i b_j): uv = T(u (x) v), and P is a homomorphism when P T = T' (P (x) P).
 
 Builders cover the worked examples used everywhere downstream: the
 2-dimensional solvable algebra ``A`` (h e = e), the 2-dimensional
@@ -51,8 +53,8 @@ def _memo(fn):
 class LeibnizAlgebra:
     """Structure-constant algebra over an exact field; immutable.
 
-    Derived data (the left Leibniz check, Leibniz kernel, Lie quotient,
-    product span and series) is computed once per instance and memoized on it.
+    Derived data (the structure matrix, left Leibniz check, Leibniz kernel,
+    Lie quotient, product span and series) is computed once and memoized on it.
     """
 
     def __init__(self, field: Field, basis_names, table, check: bool = True):
@@ -80,21 +82,17 @@ class LeibnizAlgebra:
                     f"({names[i]}, {names[j]}, {names[k]})"
                 )
 
+    @_memo
+    def structure(self) -> Matrix:
+        """The n x n^2 structure matrix T: column i*n + j is b_i b_j, so
+        that uv = T(u (x) v) in the package's tensor basis."""
+        cells = [cell for row in self.table for cell in row]
+        return Matrix._of(self.field, zip(*cells), len(cells))
+
     def product(self, u, v) -> tuple:
-        """Bilinear product of coordinate vectors."""
+        """Bilinear product of coordinate vectors: T(u (x) v)."""
         f = self.field
-        out = [f.zero()] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = f.mul(a, b)
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
+        return self.structure().apply(Matrix(f, [u]).kron(Matrix(f, [v])).rows[0])
 
     def __eq__(self, other):
         return (
@@ -153,14 +151,9 @@ class AlgebraMorphismData:
     matrix: Matrix  # codomain.dim x domain.dim
 
     def is_homomorphism(self) -> bool:
-        """P(b_i b_j) = P(b_i) P(b_j), read off the table and the columns."""
-        dom, cod, p = self.domain, self.codomain, self.matrix
-        images = p.columns()
-        return all(
-            p.apply(dom.table[i][j]) == cod.product(images[i], images[j])
-            for i in range(dom.dim)
-            for j in range(dom.dim)
-        )
+        """P(b_i b_j) = P(b_i) P(b_j) for all i, j: P T = T' (P (x) P)."""
+        p = self.matrix
+        return p * self.domain.structure() == self.codomain.structure() * p.kron(p)
 
 
 def first_pair(n: int, holds):
@@ -278,8 +271,9 @@ def products_and_series(alg: LeibnizAlgebra) -> dict:
     n = alg.dim
 
     def span_of_products(sub: Subspace) -> Subspace:
-        rows = sub.basis_vectors()
-        return Subspace.span(f, n, [alg.product(u, v) for u in rows for v in rows])
+        """The columns of T (B (x) B)^T, the products of the basis rows of B."""
+        products = alg.structure() * sub.basis.kron(sub.basis).transpose()
+        return Subspace.span(f, n, products.columns(), _native=True)
 
     product_span = span_of_products(Subspace.full(f, n))
     last, dims = product_span, [n, product_span.dim]
@@ -338,14 +332,11 @@ def make_sl2(field: Field) -> LeibnizAlgebra:
     if field.characteristic == 2:
         raise AlgebraError("sl2 is degenerate in characteristic 2")
     f = field
-    z = f.zero()
-    two = f.from_int(2)
-    n2 = f.from_int(-2)
-    one = f.one()
-    neg1 = f.neg(one)
+    z, one, two = f.zero(), f.one(), f.from_int(2)
+    neg1, n2 = f.from_int(-1), f.from_int(-2)
     # order: e=0, h=1, f=2
     table = [
-        [[z, z, z], [f.neg(two), z, z], [z, one, z]],  # e*e, e*h=-2e, e*f=h
+        [[z, z, z], [n2, z, z], [z, one, z]],  # e*e, e*h=-2e, e*f=h
         [[two, z, z], [z, z, z], [z, z, n2]],  # h*e=2e, h*h, h*f=-2f
         [[z, neg1, z], [z, z, two], [z, z, z]],  # f*e=-h, f*h=2f, f*f
     ]

@@ -3,8 +3,9 @@
 A bimodule on F^m is a pair of families (lam_i, rho_i) of m x m matrices,
 one per algebra basis element, acting on the left and right, kept as one
 action family ``actions`` = (lam_1..lam_n, rho_1..rho_n).  Constructions
-that treat every action alike (conjugates, sums, tensor and hom spaces,
-sub- and quotient bimodules) map that family.  The three compatibility
+that treat every action alike (conjugates, sums, duals, sub- and quotient
+bimodules) map that family; a hom space is the tensor product with a dual,
+Hom(M, N) = N (x) M*, as the paper's rigidity has it.  The three compatibility
 axioms, as operator identities per basis pair (x, y):
 
   (LLM)  lam_{xy} = lam_x lam_y - lam_y lam_x
@@ -194,19 +195,21 @@ def axiom_report(mod: Bimodule) -> AxiomReport:
     finds no failing pair, and the first failure is the earliest failing
     pair, in the order LLM, LML, MLL, ZD on a tie.  A module marked weak
     scans only ZD, reported as MLL: given LML at a pair, MLL and ZD hold or
-    fail there together."""
-    alg, lam, rho, sums = mod.algebra, mod.lam, mod.rho, mod.sums()
-    n = alg.dim
-    zd = first_pair(n, lambda i, j: (rho[j] * sums[i]).is_zero())
+    fail there together.  Otherwise each product is formed once: ZD at (i, j)
+    is the sum of the products rho_j lam_i of LML and rho_j rho_i of MLL."""
+    alg, rho, n = mod.algebra, mod.rho, mod.algebra.dim
     if mod._derived.get(_WEAK):
+        sums = mod.sums()
+        zd = first_pair(n, lambda i, j: (rho[j] * sums[i]).is_zero())
         return FULL if zd is None else AxiomReport(True, True, False, False, ("mll", *zd))
+    acts = mod.actions  # lam_i is acts[i], rho_j is acts[n + j]
+    prod = functools.cache(lambda a, b: acts[a] * acts[b])
     rho_ij = functools.cache(lambda i, j: expand_product(alg, i, j, rho))
-    li_rj = functools.cache(lambda i, j: lam[i] * rho[j])
     pairs = (
-        first_llm_failure(alg, lam),
-        first_pair(n, lambda i, j: rho_ij(i, j) == li_rj(i, j) - rho[j] * lam[i]),
-        first_pair(n, lambda i, j: rho[j] * rho[i] == rho_ij(i, j) - li_rj(i, j)),
-        zd,
+        first_llm_failure(alg, mod.lam),
+        first_pair(n, lambda i, j: rho_ij(i, j) == prod(i, n + j) - prod(n + j, i)),
+        first_pair(n, lambda i, j: prod(n + j, n + i) == rho_ij(i, j) - prod(i, n + j)),
+        first_pair(n, lambda i, j: (prod(n + j, i) + prod(n + j, n + i)).is_zero()),
     )
     first = min(((pair, k) for k, pair in enumerate(pairs) if pair is not None), default=None)
     failure = None if first is None else (("llm", "lml", "mll", "zd")[first[1]], *first[0])
@@ -399,27 +402,20 @@ def _induced(mod: Bimodule, space: Subspace, induce, dim: int) -> Bimodule:
 
 
 def hom_bimodule(src: Bimodule, dst: Bimodule) -> Bimodule:
-    """Linear maps src -> dst with (x.f) = lam' f - f lam and
-    (f.x) = rho' f - f rho; marked weak, as both inputs must be.
+    """Linear maps src -> dst as dst (x) src*, flattened row-major as
+    dst.dim x src.dim matrices: (x.f) = lam' f - f lam, (f.x) = rho' f - f rho."""
+    from .tensor import tensor_bimodule
 
-    Maps are flattened row-major as dst.dim x src.dim matrices, so the
-    operator of f -> A f B is A.kron(B^T).
-    """
-    if src.algebra != dst.algebra:
-        raise BimoduleError("hom needs a common algebra")
-    if not (src.is_weak() and dst.is_weak()):
-        raise BimoduleError("hom needs weak bimodules")
-    f = src.field
-    im = Matrix.identity(f, src.dim)
-    iN = Matrix.identity(f, dst.dim)
-    actions = [t.kron(im) - iN.kron(s.transpose()) for s, t in zip(src.actions, dst.actions)]
-    return _mark_weak(src.with_actions(actions, src.dim * dst.dim))
+    return tensor_bimodule(dst, dual(src))
 
 
 def dual(mod: Bimodule) -> Bimodule:
-    """Linear dual: hom into the trivial 1-dim bimodule, i.e. actions
-    -lam^T and -rho^T in the dual basis."""
-    return hom_bimodule(mod, trivial_bimodule(mod.algebra, 1))
+    """Linear dual of a weak bimodule: actions -lam^T and -rho^T in the dual
+    basis, marked weak (transposing reverses each product, and the signs
+    restore LLM and LML)."""
+    if not mod.is_weak():
+        raise BimoduleError("dual needs a weak bimodule")
+    return _mark_weak(mod.with_actions([-m.transpose() for m in mod.actions], mod.dim))
 
 
 def duality_morphism_checks(mod: Bimodule) -> dict:

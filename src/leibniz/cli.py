@@ -451,7 +451,7 @@ def cmd_gr(args):
         if args.rule == "sl2":
             reg = gr_mod.ClassRegistry("sl2", alg_mod.make_sl2(QQ))
         elif args.rule.startswith("weight:"):
-            abelian = alg_mod.make_abelian(QQ, _weight_dim(args.rule))
+            abelian = alg_mod.builtin_algebra(f"abelian:{_weight_dim(args.rule)}", QQ)
             reg = gr_mod.ClassRegistry("weight", abelian)
         else:
             raise CliError("gr verify supports the sl2 and weight:<k> rules")

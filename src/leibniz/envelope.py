@@ -23,6 +23,7 @@ four terms) enters the sparse row reducer as a ``{column: scalar}`` map.
 The bounds for hemi-sl2-L1 over Q at cutoff 4 (11,111 words) are ``ul``
 [1, 9, 30, 70, 315] and ``ulweak`` [1, 9, 55, 295, 2165].  When the Leibniz
 kernel is nonzero the loose bound is the top degree, the cutoff itself.
+The standard maps d0, d1, s0 and omega are one table of generator images.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import LeibnizAlgebra, _memo, canonical_lie, leibniz_kernel
 from .bimodule import Bimodule, BimoduleError
-from .linalg import RowReducer
+from .linalg import Matrix, RowReducer
 
 
 class EnvelopeError(ValueError):
@@ -256,7 +257,6 @@ class AlgebraHom:
     source: PresentedAlgebra
     target: PresentedAlgebra
     images: list  # NCPoly in the target per source generator
-    name: str = ""
 
     def __post_init__(self):
         if len(self.images) != self.source.ngens:
@@ -281,57 +281,24 @@ class AlgebraHom:
         return all(self.target.in_ideal(im, max(2, poly_degree(im))) for im in images)
 
 
-def _lie_generator_images(alg: LeibnizAlgebra):
-    """Image polynomials of the original basis in the Lie presentation."""
-    cols = canonical_lie(alg)[1].matrix.columns()
-    return [{(k,): c for k, c in enumerate(col) if c} for col in cols]
-
-
-def hom_d0(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:
-    """l_x -> image of x, r_x -> 0."""
-    alg = ul.algebra
-    bars = _lie_generator_images(alg)
-    images = list(bars) + [{} for _ in range(alg.dim)]
-    return AlgebraHom(ul, ulie, images, name="d0")
-
-
-def hom_d1(ul: PresentedAlgebra, ulie: PresentedAlgebra) -> AlgebraHom:
-    """l_x -> image of x, r_x -> minus the image of x."""
-    alg = ul.algebra
-    f = alg.field
-    bars = _lie_generator_images(alg)
-    negs = [{w: f.neg(x) for w, x in b.items()} for b in bars]
-    return AlgebraHom(ul, ulie, list(bars) + negs, name="d1")
-
-
-def hom_s0(ulie: PresentedAlgebra, ul: PresentedAlgebra) -> AlgebraHom:
-    """Section: the class of x -> l_(representative of x).  The Lie
-    quotient's basis is the complement coordinates of the Leibniz kernel."""
-    reps = leibniz_kernel(ul.algebra).complement_coords()
-    images = [{(r,): ul.field.one()} for r in reps]
-    return AlgebraHom(ulie, ul, images, name="s0")
-
-
-def hom_omega(ulweak: PresentedAlgebra, ul: PresentedAlgebra) -> AlgebraHom:
-    """Quotient map from the weak envelope: identity on generator names."""
-    f = ul.field
-    images = [{(i,): f.one()} for i in range(ulweak.ngens)]
-    return AlgebraHom(ulweak, ul, images, name="omega")
-
-
 def standard_homs(alg: LeibnizAlgebra, cutoff: int = 3) -> dict:
-    ul = build_presentation(alg, "ul", cutoff)
-    ulweak = build_presentation(alg, "ulweak", cutoff)
-    ulie = build_presentation(alg, "ulie", cutoff)
-    return {
-        "ul": ul,
-        "ulweak": ulweak,
-        "ulie": ulie,
-        "d0": hom_d0(ul, ulie),
-        "d1": hom_d1(ul, ulie),
-        "s0": hom_s0(ulie, ul),
-        "omega": hom_omega(ulweak, ul),
+    """The three presentations and the standard maps between them (after
+    Loday-Pirashvili, Math. Ann. 296, 1993) as one table: the generator
+    images of each map are the columns of a matrix, with P the projection
+    x -> x-bar onto the Lie quotient."""
+    ul, ulweak, ulie = (build_presentation(alg, w, cutoff) for w in ("ul", "ulweak", "ulie"))
+    p = canonical_lie(alg)[1].matrix
+    gens = Matrix.identity(alg.field, 2 * alg.dim).columns()  # l_x, then r_x
+    table = {
+        "d0": (ul, ulie, p.columns() + [()] * alg.dim),  # l_x -> x-bar, r_x -> 0
+        "d1": (ul, ulie, p.columns() + (-p).columns()),  # l_x -> x-bar, r_x -> -x-bar
+        # x-bar -> l_x for x in the quotient's basis, the kernel's complement coordinates
+        "s0": (ulie, ul, [gens[r] for r in leibniz_kernel(alg).complement_coords()]),
+        "omega": (ulweak, ul, gens),  # the weak envelope onto the full one
     }
+    homs = {name: AlgebraHom(src, dst, [{(k,): c for k, c in enumerate(col) if c} for col in cols])
+            for name, (src, dst, cols) in table.items()}
+    return {"ul": ul, "ulweak": ulweak, "ulie": ulie, **homs}
 
 
 def check_section_identities(alg: LeibnizAlgebra, cutoff: int = 3) -> dict:

@@ -462,7 +462,7 @@ def invert(m: Matrix) -> Matrix:
 def determinant(m: Matrix):
     """(-1)^n times the constant coefficient of ``charpoly(m)``."""
     c0 = charpoly(m)[0]
-    return m.field.neg(c0) if m.nrows % 2 else c0
+    return _mod(m.field.characteristic, [-c0])[0] if m.nrows % 2 else c0
 
 
 def charpoly(m: Matrix) -> list:

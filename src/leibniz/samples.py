@@ -42,15 +42,11 @@ def random_invertible(field, n: int, rng: random.Random) -> Matrix:
 def random_one_dim_weak(alg: LeibnizAlgebra, rng: random.Random) -> Bimodule:
     """Random 1-dim weak bimodule: both functionals vanish on products."""
     f = alg.field
-    span = products_and_series(alg)["product_span"]
-    funcs = nullspace(span.basis).basis_vectors()
+    funcs = nullspace(products_and_series(alg)["product_span"].basis).basis
 
     def combo():
-        out = [f.zero()] * alg.dim
-        for v in funcs:
-            coeff = f.from_int(rng.randint(-2, 2))
-            out = [f.add(x, f.mul(coeff, y)) for x, y in zip(out, v)]
-        return out
+        coeffs = [rng.randint(-2, 2) for _ in range(funcs.nrows)]
+        return (Matrix.from_ints(f, [coeffs]) * funcs).rows[0]
 
     return one_dim_bimodule(alg, combo(), combo())
 

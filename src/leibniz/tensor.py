@@ -18,7 +18,8 @@ both factors are full, and can be strictly smaller: tests/test_tensor.py
 ``TestStrictTruncation`` pins a full W over A with dim T = 2 < 3 = dim T0.
 
 The data of an ordered pair (M, N) -- M (x) N, S, T, T0 and both truncated
-products -- is computed once and kept on the left factor M, keyed by N.
+products -- is computed once and kept on the left factor M, keyed by N; so a
+hom space N (x) M* (``bimodule.hom_bimodule``) is kept on its target N.
 Structure morphisms are checked by ``bimodule.intertwines``; the collapse of
 T and T0 for a symmetric or anti-symmetric factor is one table of its four
 cases, and distributivity over direct sums one loop over the products.
@@ -220,11 +221,10 @@ def nonassociativity_witness(alg: LeibnizAlgebra) -> dict:
     of the truncated products have different dimensions (1 versus 0)."""
     f = alg.field
     lam = vanishing_functional(alg)
-    neg = tuple(f.neg(x) for x in lam)
-    mk = lambda vals: [Matrix(f, [[v]]) for v in vals]
-    left = symmetrize(alg, mk(lam))
-    middle = symmetrize(alg, mk(neg))
-    right = antisymmetrize(alg, mk(lam))
+    ones = [Matrix(f, [[v]]) for v in lam]
+    left = symmetrize(alg, ones)
+    middle = symmetrize(alg, [-m for m in ones])
+    right = antisymmetrize(alg, ones)
     out = {"functional": lam, "modules": (left, middle, right)}
     for name, prod in (("bar", trunc_bar), ("under", trunc_under)):
         left_first = prod(prod(left, middle), right).dim

@@ -27,16 +27,17 @@ NAMES = [*BUILDERS, "abelian:2"]  # the six builtins
 NON_PERFECT = ["A", "N", "e", "abelian:2"]  # those with weak samples
 
 
-def ids(x):
-    return repr(x)
-
-
 def random_vector(field, n, rng):
     return tuple(field.from_int(rng.randint(-3, 3)) for _ in range(n))
 
 
 def random_matrix(field, rows, cols, rng):
     return Matrix.from_ints(field, [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
+
+
+def flat(m):
+    """A matrix flattened row-major."""
+    return tuple(x for row in m.rows for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ def homomorphism_by_table(dom, cod, p):
     return True
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=ids)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_product_is_the_bilinear_table_sum(field):
     rng = random.Random(23)
     for name in NAMES:
@@ -77,7 +78,7 @@ def test_product_is_the_bilinear_table_sum(field):
             assert alg.product(u, v) == product_by_table(alg, u, v), (name, u, v)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=ids)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_is_homomorphism_is_the_elementwise_law(field):
     rng = random.Random(29)
     algs = [builtin_algebra(name, field) for name in NAMES]
@@ -112,7 +113,7 @@ def weak_samples(field):
     return out + [adjoint(sl2)]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=ids)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_dual_is_minus_the_transpose_and_an_involution(field):
     for mod in weak_samples(field):
         d = dual(mod)
@@ -124,7 +125,7 @@ def test_dual_is_minus_the_transpose_and_an_involution(field):
         assert dual(d) == mod
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=ids)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_hom_actions_are_the_commutator_formulas(field):
     """(x.F) = lam'_x F - F lam_x and (F.x) = rho'_x F - F rho_x, with F
     flattened row-major as a dst.dim x src.dim matrix."""
@@ -138,7 +139,6 @@ def test_hom_actions_are_the_commutator_formulas(field):
             hom = hom_bimodule(src, dst)
             assert hom.dim == src.dim * dst.dim and hom.is_weak()
             f_mat = random_matrix(field, dst.dim, src.dim, rng)
-            flat = lambda m: tuple(x for row in m.rows for x in row)
             for s, t, h in zip(src.actions, dst.actions, hom.actions):
                 assert h.apply(flat(f_mat)) == flat(t * f_mat - f_mat * s)
 
@@ -166,7 +166,7 @@ def lie_class(alg, x):
     return {(k,): residual[c] for k, c in enumerate(kernel.complement_coords()) if residual[c]}
 
 
-@pytest.mark.parametrize("field", [QQ, FF(3)], ids=ids)
+@pytest.mark.parametrize("field", [QQ, FF(3)], ids=repr)
 @pytest.mark.parametrize("name", NAMES)
 def test_standard_maps_are_their_definitions(name, field):
     alg = builtin_algebra(name, field)

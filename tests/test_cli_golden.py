@@ -75,6 +75,12 @@ COMMANDS = [
     "kernel --example sl2 --json",
     "kernel --example N --field Fp:2 --json",
     "kernel --example abelian:3 --json",
+    "gr mul --rule weight:1 --lhs S(1/2)+S(2)+S(-1/3) --rhs U+A(1)",
+    "gr mul --rule weight:2 --lhs S(1/2,0)+S(2,0) --rhs U --json",
+    "bimodule --example A --module onedim:1/2,0;1/2,0 --dump --json",
+    "chop --example A --left onedim:1/2,0;1/2,0 --json",
+    "trunc-report --example A --left onedim:1/3,0;0,0 --right onedim:1/3,0;0,0 --json",
+    "check --example sl2 --dump --json",
 ]
 
 

@@ -4,11 +4,16 @@ Runs ``perfbench/run.py`` on each of the four workloads at a fixed seed,
 once in the parent checkout and once in the working tree per pair, for ten
 pairs, swapping which side goes first from one pair to the next.  Writes
 every result line to ``BENCH_<pr>.json`` at the root of the repository,
-with the median and quartiles of each side, the number of pairs the
-change wins, and the line count of ``src/leibniz/*.py`` on each side::
+with the seed, the line count of ``src/leibniz/*.py`` on each side, and per
+workload and metric the median and quartiles of each side, the number of
+pairs the change wins, the parent's interquartile distance, ``gain_shown``
+(the change wins at least 9 of 10 pairs and its median is lower than the
+parent's by more than that distance) and ``within_bound`` (the change's
+median is higher than the parent's by at most the metric's bound in
+``BENCHMARK.json``)::
 
     git clone -q . ../parent && git -C ../parent checkout -q <parent commit>
-    python3 scripts/paired_bench.py --parent ../parent --pr <number>
+    python3 scripts/paired_bench.py --parent ../parent --pr <number> [--seed 1]
 
 Each side runs its own ``perfbench/``.  This script never imports
 ``leibniz``.  A run that reports an incorrect output or a failed operation,
@@ -32,6 +37,10 @@ METRICS = ("round_s", "setup_s", "peak_rss_mb")
 PAIRS = 10
 SEED = 1
 SECONDS = 30
+MIN_WINS_OF_TEN = 9
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    # every end-to-end metric is better when lower
+    BOUNDS = {m["name"]: m["bound"] for m in json.load(_fh)["end_to_end"]}
 
 
 def commit(tree: str) -> str:
@@ -47,9 +56,9 @@ def src_lines(tree: str) -> int:
     return total
 
 
-def run_once(tree: str, workload: str) -> dict:
+def run_once(tree: str, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -73,11 +82,18 @@ def summary(runs: list[dict]) -> dict:
             side = {s: [r[m] for r in runs if r["workload"] == workload and r["side"] == s]
                     for s in ("parent", "change")}
             pairs = list(zip(side["parent"], side["change"]))
+            stats = {s: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4)}
+                     for s, v in side.items()}
+            before, after = stats["parent"]["median"], stats["change"]["median"]
+            q1, _, q3 = stats["parent"]["quartiles"]
+            wins = sum(c < p for p, c in pairs)
             out[workload][m] = {
-                **{s: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4)}
-                   for s, v in side.items()},
-                "change_wins": sum(c < p for p, c in pairs),
+                **stats,
+                "change_wins": wins,
                 "pairs": len(pairs),
+                "parent_iqr": q3 - q1,
+                "gain_shown": wins * 10 >= MIN_WINS_OF_TEN * len(pairs) and before - after > q3 - q1,
+                "within_bound": after <= before * (1 + BOUNDS[m]),
             }
     return out
 
@@ -86,6 +102,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
+    parser.add_argument("--seed", type=int, default=SEED, help="workload seed of every run")
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     runs = []
@@ -93,14 +110,15 @@ def main(argv=None) -> int:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for workload in WORKLOADS:
             for side in order:
-                line = {"pair": pair, "side": side, "first": side == order[0],
-                        "seed": SEED, "workload": workload, **run_once(sides[side], workload)}
+                line = {"pair": pair, "side": side, "first": side == order[0], "seed": args.seed,
+                        "workload": workload, **run_once(sides[side], workload, args.seed)}
                 print(json.dumps(line), flush=True)
                 if not line["correct"] or line["failed"]:
                     raise SystemExit(f"error: {side} run of pair {pair} on {workload}: correct "
                                      f"{line['correct']}, {line['failed']} failed operations")
                 runs.append(line)
-    doc = {"command": f"perfbench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
+    doc = {"command": f"perfbench/run.py --seed {args.seed} --seconds {SECONDS} --trace 0",
+           "seed": args.seed,
            "parent": commit(sides["parent"]), "change": "working tree of " + commit(ROOT),
            "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
            "runs": runs, "summary": summary(runs)}

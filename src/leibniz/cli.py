@@ -448,20 +448,21 @@ def cmd_gr(args):
             True,
         )
     if args.gr_command == "verify":
+        if args.rule != "sl2" and not args.rule.startswith("weight:"):
+            raise CliError("gr verify supports the sl2 and weight:<k> rules")
+        labels = None if args.pairs else rule.window(args.max)  # refused before any build
         if args.rule == "sl2":
             reg = gr_mod.ClassRegistry("sl2", alg_mod.make_sl2(QQ))
-        elif args.rule.startswith("weight:"):
+        else:
             abelian = alg_mod.builtin_algebra(f"abelian:{_weight_dim(args.rule)}", QQ)
             reg = gr_mod.ClassRegistry("weight", abelian)
-        else:
-            raise CliError("gr verify supports the sl2 and weight:<k> rules")
         if args.pairs:
             halves = [chunk.split("x") for chunk in args.pairs.split(";")]
             if any(len(h) != 2 for h in halves):
                 raise CliError("pairs look like S(1)xA(2);UxS(1)")
             pairs = [tuple(reg.module(_pair_label(rule, t)) for t in h) for h in halves]
         else:
-            objs = [reg.module(l) for l in rule.window(args.max)]
+            objs = [reg.module(l) for l in labels]
             pairs = [(x, y) for x in objs for y in objs]
         out = gr_mod.verify_ring_vs_modules(rule, reg, pairs)
         return (

@@ -1,17 +1,21 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values, the field's native scalars:
-``fractions.Fraction`` over Q (always in lowest terms with positive
-denominator) and ints in ``[0, p)`` over F_p.  The ``linalg`` kernel works
-on them with Python operators, tests zero by truthiness and ends each entry
-with one ``% p`` in characteristic p; it calls ``coerce`` only on values
-that enter through its public boundary.  The ``Field`` methods serve
-parsing, formatting, inversion and code outside the kernel.
+Scalars are plain Python values, the field's native scalars, one per
+value: over Q an ``int`` when the value is integral and otherwise a
+``fractions.Fraction`` (lowest terms, denominator > 1), never a float or a
+bool; over F_p an ``int`` in ``[0, p)``.  Integral rationals thus take
+Python's C-level int arithmetic and truthiness.  The ``linalg`` kernel
+works on native scalars with Python operators, tests zero by truthiness and
+ends each entry with the field's one normalisation (``% p`` in
+characteristic p; an integral ``Fraction`` becomes its numerator over Q);
+it calls ``coerce`` only on values that enter through its public boundary.
+The ``Field`` methods serve parsing, formatting, inversion and code outside
+the kernel.
 
 ``Field`` states the arithmetic once: ``add``, ``sub``, ``mul``, ``neg`` and
-``format`` apply the Python operator and then the field's ``normal``, which
-is the identity over Q and ``x % p`` over F_p.  A subclass defines only what
-differs: its constants, ``normal``, ``coerce``, ``inv`` and its tag.
+``format`` apply the Python operator and then the field's ``normal``.  A
+subclass defines only what differs: its constants, ``normal``, ``coerce``,
+``inv`` and its tag.
 
 Serialization: rationals print as ``a/b`` (gcd(a,b)=1, b>0, just ``a`` when
 b=1); prime-field residues print as their decimal value.
@@ -125,28 +129,28 @@ class Rationals(Field):
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+            return self.normal(x)
+        if isinstance(x, int):  # bools too
+            return int(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def normal(self, x):
-        return x
+        return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
-        return 1 / a
+        return self.normal(Fraction(1) / a)
 
     @property
     def spec(self):

@@ -20,6 +20,8 @@ random integer combinations; verdicts carry explicit counterexamples.
 Each rule interns its labels, which hash once, and memoises the product of
 each ordered pair of its labels in a table that ``gr_mul`` reads;
 ``FusionRule.mul`` returns a fresh element that the caller may change.
+A window lists at most ``MAX_WINDOW_LABELS`` labels: the checkers work on
+pairs and triples of its labels.
 """
 
 from __future__ import annotations
@@ -31,10 +33,14 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .algebra import _memo, products_and_series
 from .fields import Field
+
+
+MAX_WINDOW_LABELS = 256
 
 
 class GrothError(ValueError):
@@ -60,7 +66,10 @@ class Label:
         return self._hash
 
     def sort_key(self):
-        return (self.kind, repr(self.tag))
+        # a tuple tag sorts as the repr of its entries as Fractions, whatever
+        # their native type, so integral and rational entries keep one order
+        tag = self.tag
+        return (self.kind, repr(tuple(map(Fraction, tag)) if isinstance(tag, tuple) else tag))
 
     def __repr__(self):
         if self.kind == "unit":
@@ -123,15 +132,17 @@ class BaseRing:
     """A commutative unital ring on a distinguished free basis of tags.
 
     ``mul`` multiplies two tags into {tag: coefficient}, ``window`` lists
-    the tags up to a size, ``parse`` reads a tag from the comma-separated
-    parts of its text, and ``owns`` tells a tag of this ring from a
-    foreign value.
+    the tags up to a size, the unit among them, ``count`` is the length of
+    that list without making it, ``parse`` reads a tag from the
+    comma-separated parts of its text, and ``owns`` tells a tag of this
+    ring from a foreign value.
     """
 
     name: str
     unit: object
     mul: Callable[[object, object], dict]
     window: Callable[[int], list]
+    count: Callable[[int], int]
     parse: Callable[[list], object]
     owns: Callable[[object], bool]
 
@@ -143,7 +154,8 @@ def integer_base() -> BaseRing:
         raise GrothError("the ring Z has no tag besides its unit U")
 
     return BaseRing(
-        "Z", "1", lambda a, b: {"1": 1}, lambda size: ["1"], parse, lambda t: t == "1"
+        "Z", "1", lambda a, b: {"1": 1}, lambda size: ["1"], lambda size: 1, parse,
+        lambda t: t == "1",
     )
 
 
@@ -162,11 +174,16 @@ def group_base(field: Field, k: int) -> BaseRing:
             for tag in itertools.product(range(-radius, radius + 1), repeat=k)
         ))
 
+    def count(radius):
+        width = 2 * radius + 1
+        return (min(width, field.characteristic) if field.characteristic else width) ** k
+
     return BaseRing(
         f"grouplike:{k}",
         (field.zero(),) * k,
         mul,
         window,
+        count,
         lambda parts: tuple(field.parse(p) for p in parts),
         lambda t: isinstance(t, tuple) and len(t) == k,
     )
@@ -195,6 +212,7 @@ def cg_base() -> BaseRing:
         0,
         lambda a, b: Counter(clebsch_gordan(a, b)),
         lambda size: list(range(size + 1)),
+        lambda size: size + 1,
         parse,
         lambda t: isinstance(t, int) and t >= 0,
     )
@@ -250,6 +268,11 @@ class FusionRule:
         return tuple(GrElement(out).terms.items())
 
     def window(self, size: int) -> list:
+        """U and the other labels of each side's window; refused, before any
+        is listed, when they are more than ``MAX_WINDOW_LABELS``."""
+        count = 1 + sum(self.base(kind).count(size) - 1 for kind in ("sym", "anti"))
+        if count > MAX_WINDOW_LABELS:
+            raise GrothError(f"a window of {count} labels is over the cap {MAX_WINDOW_LABELS}")
         return [UNIT] + [
             self.label(kind, tag)
             for kind in ("sym", "anti")

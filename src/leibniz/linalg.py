@@ -13,12 +13,15 @@ checks invariance.  There is one characteristic polynomial, valid in every
 characteristic; the eigenvalues in the field are its roots and the
 determinant is read off it.
 
-The kernel contract: entries are the field's native scalars (``Fraction``
-over Q, ``int`` in ``[0, p)`` over F_p), and every operation is one loop of
-Python operators that skips zero operands (tested by truthiness) and, in
-characteristic p, ends with one ``% p`` per entry.  Only the public
-boundary coerces: ``Matrix(field, rows)``, ``Matrix.scale`` and the vectors
-given to ``RowReducer``; matrices and rows the kernel builds itself skip it.
+The kernel contract: entries are the field's native scalars, one per
+value (over Q an ``int`` when integral and otherwise a ``Fraction`` with
+denominator > 1; over F_p an ``int`` in ``[0, p)``), and every operation is
+one loop of Python operators that skips zero operands (tested by
+truthiness) and ends with the one normalisation ``_mod`` per entry it
+writes: ``% p`` in characteristic p, and over Q an integral ``Fraction``
+becomes its numerator.  Only the public boundary coerces:
+``Matrix(field, rows)``, ``Matrix.scale`` and the vectors given to
+``RowReducer``; matrices and rows the kernel builds itself skip it.
 
 The fixed tensor basis convention used throughout the package: the basis
 vector ``u_i (x) w_j`` of ``U (x) W`` has flat index ``i*dim(W) + j``
@@ -41,8 +44,11 @@ class LinAlgError(ValueError):
 
 
 def _mod(p: int, xs: list) -> list:
-    """The kernel's one ``% p`` in characteristic p; over Q (p = 0), ``xs``."""
-    return [x % p for x in xs] if p else xs
+    """The kernel's one normalisation: ``% p`` in characteristic p; over Q
+    (p = 0), each integral ``Fraction`` becomes its numerator."""
+    if p:
+        return [x % p for x in xs]
+    return [x if type(x) is int or x.denominator != 1 else x.numerator for x in xs]
 
 
 class Matrix:
@@ -244,6 +250,8 @@ class RowReducer:
                 y = v[j] + c * x if j in v else c * x
                 if p:
                     y %= p
+                elif type(y) is not int and y.denominator == 1:
+                    y = y.numerator
                 if y:
                     v[j] = y
                 else:
@@ -490,9 +498,7 @@ def charpoly(m: Matrix) -> list:
             row[piv], row[r] = row[r], row[piv]
         inv = f.inv(h[r][col])
         for i in range(r + 1, n):
-            u = h[i][col] * inv
-            if p:
-                u %= p
+            (u,) = _mod(p, [h[i][col] * inv])
             if u:  # row_i -= u row_r, then column_r += u column_i
                 h[i] = _mod(p, [x - u * y if y else x for x, y in zip(h[i], h[r])])
                 column = _mod(p, [row[r] + u * row[i] if row[i] else row[r] for row in h])
@@ -508,9 +514,7 @@ def charpoly(m: Matrix) -> list:
                 for j, x in enumerate(polys[i]):
                     if x:
                         q[j] -= c * x
-            prod = prod * h[i][i - 1] if i else zero
-            if p:
-                prod %= p
+            (prod,) = _mod(p, [prod * h[i][i - 1]]) if i else (zero,)
             if not prod:
                 break
         polys.append(_mod(p, q))
@@ -526,7 +530,8 @@ def eigenvalues_in_field(m: Matrix) -> list:
     p at most B * q for the largest absolute row sum B of M, which bounds
     every eigenvalue.  Each candidate p/q is tested by one integer Horner
     evaluation of q^deg * chi(p/q), which is a root exactly when it is 0
-    (over Q) or divisible by the characteristic (over F_p).
+    (over Q) or divisible by the characteristic (over F_p).  The roots are
+    native scalars.
     """
     f = m.field
     char = f.characteristic
@@ -553,7 +558,7 @@ def eigenvalues_in_field(m: Matrix) -> list:
             qk *= q
         if (value % char if char else value) == 0:
             out.append(root)
-    return out
+    return _mod(char, out)
 
 
 def _divisors(n: int, bound: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, round trips, report contents."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,18 @@ class TestGrRules:
         )
         assert code == 0
         assert json.loads(out)["window_size"] == 13  # U and weights 1..6 per side
+
+    @pytest.mark.parametrize("argv, count", [
+        (("gr", "props", "--rule", "weight:6", "--window", "1"), 1457),
+        (("gr", "verify", "--rule", "weight:32", "--max", "1"), 2 * 3**32 - 1),
+        (("gr", "props", "--rule", "sl2", "--window", "128"), 257),
+    ])
+    def test_gr_window_over_the_cap_is_refused_at_once(self, capsys, argv, count):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: a window of {count} labels is over the cap 256\n"
 
 
 class TestSeedHandling:

@@ -1,6 +1,7 @@
 """Fusion rules, identity checkers, criterion scan, module reconciliation."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -655,3 +656,80 @@ class TestProductTable:
         for name, verdict in got.items():
             wit, ref = verdict.counterexample, want[name].counterexample
             assert repr(wit) == repr(ref)
+
+
+def parent_key(label):
+    """The order of labels whose tag entries were all Fractions over Q and
+    all ints over F_p: the plain repr of the tag."""
+    return (label.kind, repr(label.tag))
+
+
+def as_fractions(label):
+    return Label(label.kind, tuple(map(Fraction, label.tag)))
+
+
+class TestLabelOrder:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rational_tags_keep_the_all_fraction_order(self, k):
+        rng = random.Random(k)
+
+        def entry():
+            if rng.random() < 0.5:
+                return QQ.coerce(rng.randint(-12, 12))
+            return QQ.coerce(Fraction(rng.randint(-12, 12), rng.randint(2, 5)))
+
+        labels = [Label(rng.choice(["sym", "anti"]), tuple(entry() for _ in range(k)))
+                  for _ in range(400)]
+        assert any(type(t) is int for l in labels for t in l.tag)
+        assert any(type(t) is Fraction for l in labels for t in l.tag)
+        got = sorted(labels, key=Label.sort_key)
+        assert got == sorted(labels, key=lambda l: parent_key(as_fractions(l)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prime_field_tags_keep_the_int_order(self, k):
+        rng = random.Random(10 + k)
+        labels = [Label(rng.choice(["sym", "anti"]), tuple(rng.randrange(101) for _ in range(k)))
+                  for _ in range(400)]
+        assert sorted(labels, key=Label.sort_key) == sorted(labels, key=parent_key)
+
+    def test_integer_tags_and_the_unit(self):
+        window = SR.window(12)
+        assert sorted(window, key=Label.sort_key) == sorted(window, key=parent_key)
+
+    def test_printed_order_of_mixed_tags(self):
+        element = parse_element(WR, "S(2)+S(-1/3)+A(1)+S(1/2)+A(1/2)")
+        assert repr(element) == "A(1)+A(1/2)+S(-1/3)+S(1/2)+S(2)"
+        two = parse_element(weight_rule(QQ, 2), "S(2,0)+S(1/2,0)")
+        assert repr(two) == "S(1/2,0)+S(2,0)"
+
+
+class TestWindowCap:
+    def test_sl2_window_at_the_cap(self):
+        assert len(sl2_rule().window(127)) == 255 <= groth_mod.MAX_WINDOW_LABELS
+        with pytest.raises(GrothError, match="window of 257 labels is over the cap 256"):
+            sl2_rule().window(128)
+
+    def test_weight_windows(self):
+        assert len(weight_rule(QQ, 3).window(2)) == 249
+        assert len(weight_rule(QQ, 4).window(1)) == 161
+        for k, radius, count in ((5, 1, 485), (6, 1, 1457), (32, 1, 2 * 3**32 - 1)):
+            with pytest.raises(GrothError, match=f"window of {count} labels"):
+                weight_rule(QQ, k).window(radius)
+
+    def test_refused_before_any_tag_is_listed(self, monkeypatch):
+        def unreachable(radius):
+            raise AssertionError("a base window was listed")
+
+        base = dataclasses.replace(group_base(QQ, 6), window=unreachable)
+        with pytest.raises(GrothError, match="over the cap"):
+            star_product(base, base).window(1)
+
+    @pytest.mark.parametrize("field", [QQ, FF(2), FF(3), FF(5)], ids=repr)
+    def test_count_is_the_window_length(self, field):
+        for k in range(4):
+            base = group_base(field, k)
+            for radius in range(4):
+                assert base.count(radius) == len(base.window(radius))
+        for size in range(12):
+            assert cg_base().count(size) == len(cg_base().window(size))
+            assert integer_base().count(size) == len(integer_base().window(size)) == 1

@@ -5,8 +5,9 @@ Every answer of ``leibniz.linalg`` is recomputed by sympy from the same
 entries, including 0 x n and n x 0 inputs and matrices whose eigenvalues
 repeat or are non-integer rationals.  The arithmetic of ``Matrix`` and the
 vector helpers is checked on zero-heavy inputs, and every kernel output is
-checked to hold native scalars only: a ``Fraction`` over Q and an ``int``
-in ``[0, p)`` over F_p.
+checked to hold native scalars only, one per value: over Q an ``int`` when
+integral and otherwise a ``Fraction``, and over F_p an ``int`` in
+``[0, p)``.
 """
 
 import random
@@ -144,7 +145,9 @@ def kron_row(field, u, v) -> tuple:
 def native(field, x) -> bool:
     if field.characteristic:
         return type(x) is int and 0 <= x < field.characteristic
-    return type(x) is Fraction
+    if type(x) is int:
+        return True
+    return type(x) is Fraction and x.denominator != 1
 
 
 def all_native(field, xs) -> bool:
@@ -247,6 +250,53 @@ class TestNativeScalars:
         assert all_native(field, (x for row in quotient.rows for x in row))
         if rank(sq) == n:
             assert all_native(field, (x for row in invert(sq).rows for x in row))
+
+
+    @pytest.mark.parametrize("field", ARITH_FIELDS, ids=repr)
+    def test_field_constants_inv_and_parse(self, field):
+        scalars = [field.zero(), field.one(), field.from_int(-7), field.from_int(True),
+                   field.coerce(True), field.coerce(-4), field.parse("22/11"), field.parse("-22/11"),
+                   field.parse("0/11"), field.parse("1/11"), field.inv(field.from_int(-1))]
+        if field.characteristic != 2:
+            scalars += [field.inv(field.from_int(2)), field.inv(field.parse("1/11"))]
+        assert all_native(field, scalars), scalars
+        assert field.parse("22/11") == field.from_int(2)
+        assert field.inv(field.inv(field.from_int(11))) == field.from_int(11)
+
+    def test_rational_scalars(self):
+        assert [QQ.coerce(x) for x in (Fraction(6, 3), Fraction(-1, 2), True)] == [2, Fraction(-1, 2), 1]
+        assert type(QQ.coerce(Fraction(6, 3))) is int and type(QQ.coerce(True)) is int
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+        assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+        assert type(QQ.parse("4/2")) is int and type(QQ.parse("3/6")) is Fraction
+        assert [QQ.normal(x) for x in (Fraction(4, 2), Fraction(1, 2), 5)] == [2, Fraction(1, 2), 5]
+        assert all_native(QQ, [QQ.normal(Fraction(4, 2)), QQ.normal(Fraction(1, 2)), QQ.normal(5)])
+
+    @pytest.mark.parametrize("value", [1.0, 0.5, float("inf")])
+    def test_floats_are_refused(self, value):
+        with pytest.raises(FieldError):
+            QQ.coerce(value)
+        with pytest.raises(FieldError):
+            Matrix(QQ, [[value]])
+
+    def test_rational_eigenvalues(self):
+        # triangular with diagonal 2, 1/2, 0, -3, then conjugated by an
+        # integer matrix of determinant 1: the roots of its characteristic
+        # polynomial are exactly these, integral ones as ints
+        t = Matrix(QQ, [[2, 1, 0, 5], [0, Fraction(1, 2), 3, 0], [0, 0, 0, 1], [0, 0, 0, -3]])
+        p = Matrix(QQ, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 3, 1, 0], [1, 0, 0, 1]])
+        roots = eigenvalues_in_field(p * t * invert(p))
+        assert sorted(roots) == [-3, 0, Fraction(1, 2), 2]
+        assert all_native(QQ, roots), roots
+
+    @given(arithmetic_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_eigenvalues_are_native(self, case):
+        field, (n, _, _), draw, rng = case
+        sq = draw(n, n)
+        roots = eigenvalues_in_field(sq)
+        assert all_native(field, roots), roots
+        assert all(determinant(sq - Matrix.identity(field, n).scale(r)) == 0 for r in roots)
 
 
 class TestAgainstDomainMatrix:

@@ -78,3 +78,73 @@ def test_bench_file_records_src_line_counts(tmp_path, monkeypatch):
     doc = json.loads((change / "BENCH_test.json").read_text(encoding="utf-8"))
     assert doc["src_lines"] == {"parent": 4, "change": 2}
     assert len(doc["runs"]) == 4
+
+
+def test_seed_reaches_every_run_and_the_bench_file(tmp_path, monkeypatch):
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {m: {"value": 1.0} for m in ("round_s", "setup_s", "peak_rss_mb")}}
+    run_py = ("import sys\n"
+              "open('argv.log', 'a').write(' '.join(sys.argv[1:]) + '\\n')\n"
+              f"print({json.dumps(json.dumps(result))})\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    fake_tree(parent, run_py, {})
+    fake_tree(change, run_py, {})
+    bench = load_script()
+    monkeypatch.setattr(bench, "ROOT", str(change))
+    monkeypatch.setattr(bench, "PAIRS", 2)
+    monkeypatch.setattr(bench, "WORKLOADS", ("suite",))
+    monkeypatch.setattr(bench, "commit", lambda tree: "0" * 40)
+    assert bench.main(["--parent", str(parent), "--pr", "test", "--seed", "2"]) == 0
+    doc = json.loads((change / "BENCH_test.json").read_text(encoding="utf-8"))
+    assert doc["seed"] == 2 and "--seed 2 " in doc["command"]
+    assert [r["seed"] for r in doc["runs"]] == [2] * 4
+    for tree in (parent, change):
+        lines = (tree / "argv.log").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and all("--seed 2 " in line for line in lines)
+    assert bench.main(["--parent", str(parent), "--pr", "default"]) == 0
+    assert json.loads((change / "BENCH_default.json").read_text(encoding="utf-8"))["seed"] == 1
+
+
+def made_up_runs(parent: list, change: list, metric="round_s") -> list:
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({"pair": pair, "side": side, "workload": "squares-q",
+                         **{m: 1.0 for m in ("round_s", "setup_s", "peak_rss_mb")}, metric: value})
+    return runs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.98, 1.02
+
+
+@pytest.mark.parametrize("change, wins, shown", [
+    ([0.6] * 9 + [1.1], 9, True),            # 9 of 10 and far below
+    ([0.6] * 8 + [1.1, 1.1], 8, False),      # far below, but only 8 of 10
+    ([v - 0.01 for v in PARENT], 10, False),  # 10 of 10, but inside the spread
+])
+def test_gain_shown(change, wins, shown):
+    bench = load_script()
+    (entry,) = [bench.summary(made_up_runs(PARENT, change))["squares-q"]["round_s"]]
+    assert entry["change_wins"] == wins and entry["pairs"] == 10
+    assert entry["parent_iqr"] == pytest.approx(0.04)
+    assert entry["gain_shown"] is shown
+
+
+@pytest.mark.parametrize("metric, factor, within", [
+    ("round_s", 1.24, True), ("round_s", 1.26, False),
+    ("peak_rss_mb", 1.14, True), ("peak_rss_mb", 1.16, False),
+    ("setup_s", 0.5, True),
+])
+def test_within_bound(monkeypatch, metric, factor, within):
+    bench = load_script()
+    monkeypatch.setattr(bench, "BOUNDS", {"round_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15})
+    parent = [10.0] * 10
+    entry = bench.summary(made_up_runs(parent, [10.0 * factor] * 10, metric))["squares-q"][metric]
+    assert entry["within_bound"] is within
+    assert entry["gain_shown"] is (factor < 1)
+
+
+def test_bounds_are_read_from_the_benchmark():
+    with open(os.path.join(os.path.dirname(SCRIPT), "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    assert load_script().BOUNDS == declared

@@ -251,12 +251,11 @@ class TestNativeScalars:
         if rank(sq) == n:
             assert all_native(field, (x for row in invert(sq).rows for x in row))
 
-
     @pytest.mark.parametrize("field", ARITH_FIELDS, ids=repr)
     def test_field_constants_inv_and_parse(self, field):
         scalars = [field.zero(), field.one(), field.from_int(-7), field.from_int(True),
-                   field.coerce(True), field.coerce(-4), field.parse("22/11"), field.parse("-22/11"),
-                   field.parse("0/11"), field.parse("1/11"), field.inv(field.from_int(-1))]
+                   field.coerce(True), field.coerce(-4), field.inv(field.from_int(-1))]
+        scalars += [field.parse(text) for text in ("22/11", "-22/11", "0/11", "1/11")]
         if field.characteristic != 2:
             scalars += [field.inv(field.from_int(2)), field.inv(field.parse("1/11"))]
         assert all_native(field, scalars), scalars
@@ -264,13 +263,13 @@ class TestNativeScalars:
         assert field.inv(field.inv(field.from_int(11))) == field.from_int(11)
 
     def test_rational_scalars(self):
-        assert [QQ.coerce(x) for x in (Fraction(6, 3), Fraction(-1, 2), True)] == [2, Fraction(-1, 2), 1]
-        assert type(QQ.coerce(Fraction(6, 3))) is int and type(QQ.coerce(True)) is int
+        coerced = [QQ.coerce(x) for x in (Fraction(6, 3), Fraction(-1, 2), True)]
+        assert coerced == [2, Fraction(-1, 2), 1] and all_native(QQ, coerced)
         assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
         assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
         assert type(QQ.parse("4/2")) is int and type(QQ.parse("3/6")) is Fraction
-        assert [QQ.normal(x) for x in (Fraction(4, 2), Fraction(1, 2), 5)] == [2, Fraction(1, 2), 5]
-        assert all_native(QQ, [QQ.normal(Fraction(4, 2)), QQ.normal(Fraction(1, 2)), QQ.normal(5)])
+        normal = [QQ.normal(x) for x in (Fraction(4, 2), Fraction(1, 2), 5)]
+        assert normal == [2, Fraction(1, 2), 5] and all_native(QQ, normal)
 
     @pytest.mark.parametrize("value", [1.0, 0.5, float("inf")])
     def test_floats_are_refused(self, value):

@@ -114,6 +114,7 @@ def made_up_runs(parent: list, change: list, metric="round_s") -> list:
     return runs
 
 
+BOUNDS = {"round_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15}
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.98, 1.02
 
 
@@ -124,7 +125,7 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartil
 ])
 def test_gain_shown(change, wins, shown):
     bench = load_script()
-    (entry,) = [bench.summary(made_up_runs(PARENT, change))["squares-q"]["round_s"]]
+    entry = bench.summary(made_up_runs(PARENT, change), BOUNDS)["squares-q"]["round_s"]
     assert entry["change_wins"] == wins and entry["pairs"] == 10
     assert entry["parent_iqr"] == pytest.approx(0.04)
     assert entry["gain_shown"] is shown
@@ -135,16 +136,17 @@ def test_gain_shown(change, wins, shown):
     ("peak_rss_mb", 1.14, True), ("peak_rss_mb", 1.16, False),
     ("setup_s", 0.5, True),
 ])
-def test_within_bound(monkeypatch, metric, factor, within):
+def test_within_bound(metric, factor, within):
     bench = load_script()
-    monkeypatch.setattr(bench, "BOUNDS", {"round_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15})
     parent = [10.0] * 10
-    entry = bench.summary(made_up_runs(parent, [10.0 * factor] * 10, metric))["squares-q"][metric]
+    runs = made_up_runs(parent, [10.0 * factor] * 10, metric)
+    entry = bench.summary(runs, BOUNDS)["squares-q"][metric]
     assert entry["within_bound"] is within
     assert entry["gain_shown"] is (factor < 1)
 
 
 def test_bounds_are_read_from_the_benchmark():
-    with open(os.path.join(os.path.dirname(SCRIPT), "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+    path = os.path.join(os.path.dirname(os.path.dirname(SCRIPT)), "BENCHMARK.json")
+    with open(path, encoding="utf-8") as fh:
         declared = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
-    assert load_script().BOUNDS == declared
+    assert load_script().load_bounds() == declared

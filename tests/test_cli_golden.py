@@ -81,6 +81,8 @@ COMMANDS = [
     "chop --example A --left onedim:1/2,0;1/2,0 --json",
     "trunc-report --example A --left onedim:1/3,0;0,0 --right onedim:1/3,0;0,0 --json",
     "check --example sl2 --dump --json",
+    "gr props --rule star:weight:1,sl2 --window 2 --json",
+    "gr props --rule star:sl2,sl2 --window 2 --json",
 ]
 
 

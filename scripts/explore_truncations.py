@@ -55,7 +55,8 @@ def main() -> int:
     for key in sorted(histogram):
         print(f"  {key}: {histogram[key]}")
     if not gaps:
-        print("no strict inclusion T < T0 found (consistent with all known examples)")
+        print("no strict inclusion T < T0 among these samples "
+              "(the known strict case, W (x) W, needs a non-split extension)")
     return 1 if gaps else 0
 
 

@@ -116,7 +116,8 @@ class Bimodule:
         return self.axiom_report().kind
 
     def is_weak(self) -> bool:
-        return self.kind in ("weak", "full")
+        """Weak or full; a module marked weak answers without a report."""
+        return _WEAK in self._derived or self.kind in ("weak", "full")
 
     def is_full(self) -> bool:
         return self.kind == "full"

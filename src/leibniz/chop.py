@@ -339,7 +339,8 @@ def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
     The series is certified when the input is full and every factor is;
     weak-but-not-full inputs are allowed but never certified.
     """
-    if not mod.is_weak():
+    full = mod.is_full()  # before any peeling, so that every piece inherits the report
+    if not (full or mod.is_weak()):
         raise BimoduleError("chop needs at least a weak bimodule")
     rng = random.Random(seed)
     strategies = []
@@ -369,7 +370,7 @@ def chop(mod: Bimodule, seed: int = 0) -> CompositionReport:
     return CompositionReport(
         factors=factors,
         strategy="+".join(strategies) if strategies else "trivial",
-        certified=mod.is_full() and all(f.certified for f in factors),
+        certified=full and all(f.certified for f in factors),
     )
 
 

@@ -395,86 +395,102 @@ def _pair_label(rule, text: str):
     return terms[0][0]
 
 
-def cmd_gr(args):
-    for name in ("max", "window", "trials"):
-        if getattr(args, name, 0) < 0:
+def _non_negative(args, *names):
+    for name in names:
+        if getattr(args, name) < 0:
             raise CliError(f"--{name} must be non-negative, not {getattr(args, name)}")
+
+
+def cmd_gr_mul(args):
     rule = _resolve_rule(args.rule)
-    if args.gr_command == "mul":
-        lhs = gr_mod.parse_element(rule, args.lhs)
-        rhs = gr_mod.parse_element(rule, args.rhs)
-        product = gr_mod.gr_mul(rule, lhs, rhs)
-        return (
-            {
-                "command": "gr mul",
-                "rule": rule.name,
-                "lhs": repr(lhs),
-                "rhs": repr(rhs),
-                "product": repr(product),
-            },
-            True,
-        )
-    if args.gr_command == "props":
-        window = rule.window(args.window or rule.default_window)
-        out = gr_mod.identity_checkers(rule, window, trials=args.trials, seed=args.seed)
-        verdicts = {}
-        for name, v in out.items():
-            doc = {"holds": v.holds, "tested": v.tested}
-            if v.counterexample:
-                doc["witness"] = {
-                    "elements": [repr(e) for e in v.counterexample["elements"]],
-                    "lhs": repr(v.counterexample["lhs"]),
-                    "rhs": repr(v.counterexample["rhs"]),
+    lhs = gr_mod.parse_element(rule, args.lhs)
+    rhs = gr_mod.parse_element(rule, args.rhs)
+    product = gr_mod.gr_mul(rule, lhs, rhs)
+    return (
+        {
+            "command": "gr mul",
+            "rule": rule.name,
+            "lhs": repr(lhs),
+            "rhs": repr(rhs),
+            "product": repr(product),
+        },
+        True,
+    )
+
+
+def cmd_gr_props(args):
+    _non_negative(args, "window", "trials")
+    rule = _resolve_rule(args.rule)
+    window = rule.window(args.window or rule.default_window)
+    out = gr_mod.identity_checkers(rule, window, trials=args.trials, seed=args.seed)
+    verdicts = {}
+    for name, v in out.items():
+        doc = {"holds": v.holds, "tested": v.tested}
+        if v.counterexample:
+            doc["witness"] = {
+                "elements": [repr(e) for e in v.counterexample["elements"]],
+                "lhs": repr(v.counterexample["lhs"]),
+                "rhs": repr(v.counterexample["rhs"]),
+            }
+        verdicts[name] = doc
+    scan = gr_mod.criterion_scan(rule, window)
+    return (
+        {
+            "command": "gr props",
+            "rule": rule.name,
+            "seed": args.seed,
+            "trials": args.trials,
+            "window_size": len(window),
+            "identities": verdicts,
+            "criterion_scan": [
+                {
+                    "property": s["property"],
+                    "labels": [repr(l) for l in s["labels"]],
+                    "confirmed": s["confirmed"],
                 }
-            verdicts[name] = doc
-        scan = gr_mod.criterion_scan(rule, window)
-        return (
-            {
-                "command": "gr props",
-                "rule": rule.name,
-                "seed": args.seed,
-                "trials": args.trials,
-                "window_size": len(window),
-                "identities": verdicts,
-                "criterion_scan": [
-                    {
-                        "property": s["property"],
-                        "labels": [repr(l) for l in s["labels"]],
-                        "confirmed": s["confirmed"],
-                    }
-                    for s in scan
-                ],
-            },
-            True,
-        )
-    if args.gr_command == "verify":
-        if args.rule != "sl2" and not args.rule.startswith("weight:"):
-            raise CliError("gr verify supports the sl2 and weight:<k> rules")
-        labels = None if args.pairs else rule.window(args.max)  # refused before any build
-        if args.rule == "sl2":
-            reg = gr_mod.ClassRegistry("sl2", alg_mod.make_sl2(QQ))
-        else:
-            abelian = alg_mod.builtin_algebra(f"abelian:{_weight_dim(args.rule)}", QQ)
-            reg = gr_mod.ClassRegistry("weight", abelian)
-        if args.pairs:
-            halves = [chunk.split("x") for chunk in args.pairs.split(";")]
-            if any(len(h) != 2 for h in halves):
-                raise CliError("pairs look like S(1)xA(2);UxS(1)")
-            pairs = [tuple(reg.module(_pair_label(rule, t)) for t in h) for h in halves]
-        else:
-            objs = [reg.module(l) for l in labels]
-            pairs = [(x, y) for x in objs for y in objs]
-        out = gr_mod.verify_ring_vs_modules(rule, reg, pairs)
-        return (
-            {
-                "command": "gr verify",
-                "rule": rule.name,
-                "pairs": len(pairs),
-                "ok": out["ok"],
-            },
-            out["ok"],
-        )
-    raise CliError("gr needs one of: mul, props, verify")
+                for s in scan
+            ],
+        },
+        True,
+    )
+
+
+def cmd_gr_verify(args):
+    _non_negative(args, "max")
+    rule = _resolve_rule(args.rule)
+    if args.rule != "sl2" and not args.rule.startswith("weight:"):
+        raise CliError("gr verify supports the sl2 and weight:<k> rules")
+    if args.pairs:
+        halves = [chunk.split("x") for chunk in args.pairs.split(";")]
+        if any(len(h) != 2 for h in halves):
+            raise CliError("pairs look like S(1)xA(2);UxS(1)")
+        label_pairs = [tuple(_pair_label(rule, t) for t in h) for h in halves]
+    else:
+        labels = rule.window(args.max)
+        label_pairs = [(x, y) for x in labels for y in labels]
+    # refused before any module is built: an sl2 label of tag n names a
+    # module of dimension n + 1, a weight label one of dimension 1
+    dim = lambda l: l.tag + 1 if args.rule == "sl2" and l != gr_mod.UNIT else 1
+    x, y = max(label_pairs, key=lambda pair: dim(pair[0]) * dim(pair[1]))
+    if dim(x) * dim(y) > MAX_SPEC_DIM:
+        raise CliError(f"the product of {x!r} and {y!r} has dimension "
+                       f"{dim(x) * dim(y)}, over the cap {MAX_SPEC_DIM}")
+    if args.rule == "sl2":
+        reg = gr_mod.ClassRegistry("sl2", alg_mod.make_sl2(QQ))
+    else:
+        abelian = alg_mod.builtin_algebra(f"abelian:{_weight_dim(args.rule)}", QQ)
+        reg = gr_mod.ClassRegistry("weight", abelian)
+    pairs = [(reg.module(x), reg.module(y)) for x, y in label_pairs]
+    out = gr_mod.verify_ring_vs_modules(rule, reg, pairs)
+    return (
+        {
+            "command": "gr verify",
+            "rule": rule.name,
+            "pairs": len(pairs),
+            "ok": out["ok"],
+        },
+        out["ok"],
+    )
 
 
 def cmd_paper_suite(args):
@@ -497,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with finite-dimensional Leibniz algebras",
     )
     sub = parser.add_subparsers(dest="command")
+    # the parser whose usage a command with no handler prints
+    parser.set_defaults(parser=parser)
 
     def common(p, modules=False):
         p.add_argument("--example", help="builtin algebra: A | N | e | sl2 | hemi-sl2-L1 | abelian:<n>")
@@ -560,20 +578,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_envelope)
 
     p = sub.add_parser("gr", help="symbolic Grothendieck rings")
-    grsub = p.add_subparsers(dest="gr_command")
+    p.set_defaults(parser=p)
+    grsub = p.add_subparsers()
     pm = grsub.add_parser("mul", help="multiply two elements")
     pm.add_argument("--rule", required=True, help="weight:<k> | sl2 | star:<a>,<b>")
     pm.add_argument("--lhs", required=True)
     pm.add_argument("--rhs", required=True)
     pm.add_argument("--json", action="store_true")
-    pm.set_defaults(fn=cmd_gr)
+    pm.set_defaults(fn=cmd_gr_mul)
     pp = grsub.add_parser("props", help="identity checkers and criterion scan")
     pp.add_argument("--rule", required=True)
     pp.add_argument("--window", type=int, default=0, help="window radius / max tag")
     pp.add_argument("--trials", type=int, default=200)
     pp.add_argument("--seed", type=int, default=default_seed())
     pp.add_argument("--json", action="store_true")
-    pp.set_defaults(fn=cmd_gr)
+    pp.set_defaults(fn=cmd_gr_props)
     pv = grsub.add_parser("verify", help="ring vs module reconciliation")
     pv.add_argument("--rule", required=True, help="sl2 | weight:<k>")
     pv.add_argument("--max", type=int, default=2, help="max tag / weight radius")
@@ -581,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pairs", help="semicolon-separated pairs of labels, e.g. S(1)xA(2);UxS(1)"
     )
     pv.add_argument("--json", action="store_true")
-    pv.set_defaults(fn=cmd_gr)
+    pv.set_defaults(fn=cmd_gr_verify)
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
     p.add_argument("--seed", type=int, default=default_seed())
@@ -595,11 +614,8 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_usage()
-            return 2
-        if args.command == "gr" and not getattr(args, "gr_command", None):
-            parser.parse_args(["gr", "--help"])
+        if not hasattr(args, "fn"):
+            args.parser.print_usage()
             return 2
         report, ok = args.fn(args)
     except (CliError, ValueError) as exc:

@@ -312,6 +312,28 @@ def sl2_rule() -> FusionRule:
 # identity checkers
 
 
+def _jordan(mul, u, v):
+    uu = mul(u, u)
+    return mul(mul(uu, v), u), mul(uu, mul(v, u))
+
+
+def _power_associative(mul, u):
+    uu = mul(u, u)
+    return mul(uu, uu), mul(mul(uu, u), u)
+
+
+# Each ring law checked here: its arity, and a function from a product
+# ``mul`` and that many elements to the two sides the law equates; the
+# Jordan law is (u^2 v)u = u^2 (vu), power associativity u^2 u^2 = (u^2 u)u.
+LAWS = {
+    "commutative": (2, lambda mul, u, v: (mul(u, v), mul(v, u))),
+    "associative": (3, lambda mul, u, v, w: (mul(mul(u, v), w), mul(u, mul(v, w)))),
+    "alternative": (2, lambda mul, u, v: (mul(mul(u, u), v), mul(u, mul(u, v)))),
+    "jordan": (2, _jordan),
+    "power_associative": (1, _power_associative),
+}
+
+
 @dataclass
 class Verdict:
     identity: str
@@ -335,14 +357,8 @@ def identity_checkers(
     trials: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Exact identity verdicts on a finite window plus random combinations.
-
-    commutative   uv = vu
-    associative   (uv)w = u(vw)
-    alternative   (uu)v = u(uv)
-    jordan        (u^2 v)u = u^2 (vu)
-    power_associative   u^2 u^2 = (u^2 u)u
-    """
+    """Exact verdicts, with counterexamples, of each law of ``LAWS`` on a
+    finite window plus seeded random combinations."""
     if window is None:
         window = rule.window(rule.default_window)
     if not window:
@@ -355,13 +371,13 @@ def identity_checkers(
         else []
     )
     combos = [_random_element(window, rng) for _ in range(trials)]
-    mul = lambda x, y: gr_mul(rule, x, y)
+    mul = functools.partial(gr_mul, rule)
 
     def verdict(name, cases, sides) -> Verdict:
         tested = 0
         for case in cases:
             tested += 1
-            lhs, rhs = sides(*case)
+            lhs, rhs = sides(mul, *case)
             if lhs != rhs:
                 witness = {"elements": case, "lhs": lhs, "rhs": rhs}
                 return Verdict(name, False, tested, witness)
@@ -398,84 +414,49 @@ def identity_checkers(
         for u in combos:
             yield (u,)
 
-    sq = lambda u: mul(u, u)
-    # evaluated in this order: the triple cases draw from ``rng`` as they go
-    laws = {
-        "commutative": (pair_cases, lambda u, v: (mul(u, v), mul(v, u))),
-        "associative": (triple_cases, lambda u, v, w: (mul(mul(u, v), w), mul(u, mul(v, w)))),
-        "alternative": (pair_cases, lambda u, v: (mul(sq(u), v), mul(u, mul(u, v)))),
-        "jordan": (pair_cases, lambda u, v: (mul(mul(sq(u), v), u), mul(sq(u), mul(v, u)))),
-        "power_associative": (single_cases, lambda u: (mul(sq(u), sq(u)), mul(mul(sq(u), u), u))),
-    }
-    return {name: verdict(name, cases(), sides) for name, (cases, sides) in laws.items()}
+    # evaluated in the order of LAWS: the triple cases draw from ``rng`` as they go
+    cases = {1: single_cases, 2: pair_cases, 3: triple_cases}
+    return {name: verdict(name, cases[arity](), sides) for name, (arity, sides) in LAWS.items()}
 
 
 def criterion_scan(rule: FusionRule, window: list | None = None) -> list[dict]:
     """Predict associativity/alternativity/Jordan failures from the shape
-    of same-side squares and products, then confirm each prediction by
-    replaying the corresponding counterexample expression.
+    of same-side squares and products, then confirm the first prediction of
+    each property, in window order, by evaluating its law of ``LAWS``.
 
     Patterns, for sides X != Y with labels a, a' on side X and b on Y:
-      (a) unit coefficient in a*a' nonzero and Y nonempty: not associative,
-          replayed as (a a') b != a (a' b);
-      (b) pattern (a) with a = a': not alternative;
+      (a) a != a', the unit coefficient in a*a' nonzero and Y nonempty:
+          not associative, replayed as the associative law at (a, a', b);
+      (b) pattern (a) with a = a': not alternative, replayed as the
+          alternative law at (a, b);
       (c) a^2 has a non-unit same-side term and b^2 has a nonzero unit
-          coefficient: not a Jordan ring, replayed as (a^2 b) b != a^2 (b b).
+          coefficient: not a Jordan ring, replayed as the Jordan law at
+          (a + b, b).
     """
     if window is None:
         window = rule.window(rule.default_window)
-    sides = {
-        "sym": [l for l in window if l.kind == "sym"],
-        "anti": [l for l in window if l.kind == "anti"],
-    }
-    findings = []
-    mul = lambda x, y: gr_mul(rule, x, y)
-
-    def replay(prop, a, a2, b):
-        ea, ea2, eb = (GrElement.of(x) for x in (a, a2, b))
-        if prop in ("associative", "alternative"):
-            lhs = mul(mul(ea, ea2), eb)
-            rhs = mul(ea, mul(ea2, eb))
-            expr = "(a a') b vs a (a' b)"
-        else:
-            sq = mul(ea, ea)
-            lhs = mul(mul(sq, eb), eb)
-            rhs = mul(sq, mul(eb, eb))
-            expr = "(a^2 b) b vs a^2 (b b)"
-        return {
-            "property": prop,
-            "labels": (a, a2, b),
-            "expression": expr,
-            "lhs": lhs,
-            "rhs": rhs,
-            "confirmed": lhs != rhs,
-        }
-
+    sides = {kind: [l for l in window if l.kind == kind] for kind in ("sym", "anti")}
+    predicted: dict = {}
     for side, other in (("sym", "anti"), ("anti", "sym")):
         if not sides[other]:
             continue
         b = sides[other][0]
         for a in sides[side]:
             for a2 in sides[side]:
-                prod = rule.mul(a, a2)
-                if prod.terms.get(UNIT, 0) != 0:
-                    prop = "alternative" if a == a2 else "associative"
-                    findings.append(replay(prop, a, a2, b))
+                if rule.mul(a, a2).terms.get(UNIT, 0) != 0:
+                    predicted.setdefault("alternative" if a == a2 else "associative", (a, a2, b))
+        jordan_b = next((b2 for b2 in sides[other] if rule.mul(b2, b2).terms.get(UNIT, 0) != 0), None)
         for a in sides[side]:
-            square = rule.mul(a, a)
-            has_nonunit = any(l.kind != "unit" for l in square.terms)
-            if not has_nonunit:
-                continue
-            for b2 in sides[other]:
-                bsq = rule.mul(b2, b2)
-                if bsq.terms.get(UNIT, 0) != 0:
-                    findings.append(replay("jordan", a, a, b2))
-                    break
-    # deduplicate per property, keeping the first (deterministic) witness
-    unique: dict = {}
-    for f in findings:
-        unique.setdefault(f["property"], f)
-    return list(unique.values())
+            if jordan_b is not None and any(l.kind != "unit" for l in rule.mul(a, a).terms):
+                predicted.setdefault("jordan", (a, a, jordan_b))
+    mul = functools.partial(gr_mul, rule)
+    findings = []
+    for prop, labels in predicted.items():
+        a, a2, b = map(GrElement.of, labels)
+        elements = {"associative": (a, a2, b), "alternative": (a, b), "jordan": (a + b, b)}[prop]
+        lhs, rhs = LAWS[prop][1](mul, *elements)
+        findings.append({"property": prop, "labels": labels, "lhs": lhs, "rhs": rhs, "confirmed": lhs != rhs})
+    return findings
 
 
 # ---------------------------------------------------------------------------

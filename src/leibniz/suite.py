@@ -14,6 +14,7 @@ module tests for the minimal witnesses.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ from .fields import QQ, FF
 from .groth import (
     ClassRegistry,
     GrElement,
+    LAWS,
     Label,
     criterion_scan,
     gr_mul,
@@ -284,8 +286,7 @@ def check_nonassociativity(seed=0) -> CheckResult:
     wr = weight_rule(QQ, 1)
     s = lambda t: GrElement.of(Label("sym", (QQ.from_int(t),)))
     a1 = GrElement.of(Label("anti", (QQ.from_int(1),)))
-    lhs = gr_mul(wr, gr_mul(wr, s(1), s(-1)), a1)
-    rhs = gr_mul(wr, s(1), gr_mul(wr, s(-1), a1))
+    lhs, rhs = LAWS["associative"][1](functools.partial(gr_mul, wr), s(1), s(-1), a1)
     if not (lhs == a1 and rhs.is_zero()):
         probs.append("canonical associativity witness broke")
     if identity_checkers(wr, wr.window(2), trials=50, seed=seed)["associative"].holds:
@@ -331,12 +332,8 @@ def check_sl2_identity_failures(seed=0) -> CheckResult:
     for name in ("associative", "alternative", "jordan", "power_associative"):
         if out[name].holds:
             probs.append(f"{name} unexpectedly holds")
-    s1 = GrElement.of(Label("sym", 1))
-    a2 = GrElement.of(Label("anti", 1))
-    x = s1 + a2
-    mul = lambda p, q: gr_mul(rule, p, q)
-    x2 = mul(x, x)
-    lhs, rhs = mul(x2, x2), mul(mul(x2, x), x)
+    x = GrElement.of(Label("sym", 1)) + GrElement.of(Label("anti", 1))
+    lhs, rhs = LAWS["power_associative"][1](functools.partial(gr_mul, rule), x)
     if lhs.terms.get(Label("sym", 2)) != 5 or rhs.terms.get(Label("sym", 2)) != 4:
         probs.append("documented 5-vs-4 witness broke")
     if lhs == rhs:

@@ -600,6 +600,15 @@ class TestWeakMarks:
         assert (mixed.axiom_report().first_failure, len(products)) == (("mll", 0, 0), 1)
         assert mixed.kind == "weak" and llm_checks == []
 
+    def test_weak_marks_answer_is_weak_without_a_report(self, monkeypatch):
+        sl2 = make_sl2(QQ)
+        reported = count_reports(monkeypatch)
+        sym, anti = (sl2_irreducible(sl2, 2, side) for side in ("sym", "anti"))
+        d, t = dual(sym), tensor_bimodule(sym, anti)
+        assert d.is_weak() and t.is_weak()
+        assert dual(d).is_weak() and tensor_bimodule(d, t).is_weak()
+        assert reported == []
+
 
 def fixed_point_closure(mod, seeds) -> Subspace:
     """The span of the seeds, grown by the images of its basis under every

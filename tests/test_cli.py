@@ -35,6 +35,11 @@ class TestBasics:
         code, out, err = run(capsys)
         assert code == 2
 
+    def test_bare_gr_prints_its_usage(self, capsys):
+        code, out, err = run(capsys, "gr")
+        assert (code, err) == (2, "")
+        assert out.startswith("usage: leibniz gr ")
+
     def test_check_valid_example(self, capsys):
         code, out, _ = run(capsys, "check", "--example", "A")
         assert code == 0
@@ -388,6 +393,38 @@ class TestGrRules:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == f"error: a window of {count} labels is over the cap 256\n"
+
+    @pytest.mark.parametrize("argv, dim", [
+        (("--max", "16"), 289),
+        (("--pairs", "S(16)xS(16)"), 289),
+        (("--pairs", "UxU;S(300)xU"), 301),
+    ])
+    def test_gr_verify_product_over_the_cap_is_refused_at_once(self, capsys, monkeypatch, argv, dim):
+        def unreachable(*args):
+            raise AssertionError("an sl2 module was built")
+
+        monkeypatch.setattr(leibniz.bimodule, "sl2_irreducible", unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gr", "verify", "--rule", "sl2", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith(f"has dimension {dim}, over the cap 256\n")
+
+    def test_gr_verify_product_at_the_cap_passes_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        built = []
+
+        def stub(algebra, n, side):
+            built.append((n, side))
+            raise Reached
+
+        monkeypatch.setattr(leibniz.bimodule, "sl2_irreducible", stub)
+        with pytest.raises(Reached):
+            main(["gr", "verify", "--rule", "sl2", "--max", "15"])
+        assert built == [(1, "sym")]
 
 
 class TestSeedHandling:

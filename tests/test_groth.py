@@ -23,6 +23,7 @@ from leibniz.groth import (
     ClassRegistry,
     GrElement,
     GrothError,
+    LAWS,
     Label,
     UNIT,
     cg_base,
@@ -266,12 +267,50 @@ class TestCriterionScan:
         assert all(f["confirmed"] for f in findings)
 
     def test_sl2_jordan_replay_matches_documented_values(self):
+        # the Jordan law (u^2 v)u = u^2 (vu) at u = S(1) + A(1), v = A(1):
+        # u^2 = S(2) + A(2) + 2U and u^2 v = A(3) + 3A(1), by Clebsch-Gordan
         findings = criterion_scan(SR, SR.window(4))
         jordan = next(f for f in findings if f["property"] == "jordan")
-        assert jordan["lhs"] == GrElement.of(A(2)) + GrElement.of(UNIT)
-        assert jordan["rhs"] == (
-            GrElement.of(S(2)) + GrElement.of(A(2)) + GrElement.of(UNIT)
+        assert jordan["labels"] == (S(1), S(1), A(1))
+        assert jordan["lhs"] == (
+            GrElement.of(A(4)) + GrElement.of(A(2), 4) + GrElement.of(UNIT, 3)
         )
+        assert jordan["rhs"] == (
+            GrElement.of(S(2)) + GrElement.of(A(4)) + GrElement.of(A(2), 4) + GrElement.of(UNIT, 3)
+        )
+
+
+class TestLaws:
+    # each law written out by hand in gr_mul, apart from the table
+    HAND = {
+        "commutative": lambda r, u, v: (gr_mul(r, u, v), gr_mul(r, v, u)),
+        "associative": lambda r, u, v, w: (
+            gr_mul(r, gr_mul(r, u, v), w), gr_mul(r, u, gr_mul(r, v, w))),
+        "alternative": lambda r, u, v: (
+            gr_mul(r, gr_mul(r, u, u), v), gr_mul(r, u, gr_mul(r, u, v))),
+        "jordan": lambda r, u, v: (
+            gr_mul(r, gr_mul(r, gr_mul(r, u, u), v), u),
+            gr_mul(r, gr_mul(r, u, u), gr_mul(r, v, u))),
+        "power_associative": lambda r, u: (
+            gr_mul(r, gr_mul(r, u, u), gr_mul(r, u, u)),
+            gr_mul(r, gr_mul(r, gr_mul(r, u, u), u), u)),
+    }
+
+    @pytest.mark.parametrize("make", [
+        sl2_rule,
+        lambda: weight_rule(QQ, 1),
+        lambda: star_product(group_base(QQ, 1), cg_base()),
+    ], ids=["sl2", "weight:1", "star:weight:1,sl2"])
+    def test_each_law_is_its_hand_expansion(self, make):
+        rule = make()
+        rng = random.Random(5)
+        window = rule.window(2)
+        assert list(LAWS) == list(self.HAND)
+        for name, (arity, sides) in LAWS.items():
+            for _ in range(30):
+                elements = [groth_mod._random_element(window, rng) for _ in range(arity)]
+                want = self.HAND[name](rule, *elements)
+                assert sides(lambda x, y: gr_mul(rule, x, y), *elements) == want
 
 
 class TestStarProduct:

@@ -83,6 +83,8 @@ COMMANDS = [
     "check --example sl2 --dump --json",
     "gr props --rule star:weight:1,sl2 --window 2 --json",
     "gr props --rule star:sl2,sl2 --window 2 --json",
+    "envelope --example hemi-sl2-L1 --which ul --cutoff 4 --dims --json",
+    "envelope --example hemi-sl2-L1 --which ulweak --field Fp:101 --cutoff 4 --dims --json",
 ]
 
 

@@ -138,8 +138,12 @@ def resolve_bimodule(spec: str, algebra) -> Bimodule:
 
 
 def _two_modules(args, algebra):
-    left = resolve_bimodule(getattr(args, "left", None) or "adjoint", algebra)
-    right = resolve_bimodule(getattr(args, "right", None) or "adjoint", algebra)
+    """The two factors of a product, refused when its dimension exceeds MAX_SPEC_DIM."""
+    specs = [getattr(args, side, None) or "adjoint" for side in ("left", "right")]
+    left, right = (resolve_bimodule(spec, algebra) for spec in specs)
+    if left.dim * right.dim > MAX_SPEC_DIM:
+        raise CliError(f"the product of {specs[0]!r} and {specs[1]!r} has dimension "
+                       f"{left.dim * right.dim}, over the cap {MAX_SPEC_DIM}")
     return left, right
 
 

@@ -2,7 +2,8 @@
 
 Everything here is pure and value-semantic: matrices are tuples of tuples
 of scalars, subspaces are row-reduced basis matrices, and the row reducer
-keeps ``{column: scalar}`` rows.  Reduced row echelon form is the
+keeps ``{column: scalar}`` rows and, from the first row it stores, an index
+of the rows that hold each column.  Reduced row echelon form is the
 canonical representative of a subspace, so two spanning sets of the same
 space always produce equal ``Subspace`` objects.  Quotients are read off it
 too: ``Subspace.quotient_map`` projects F^n onto F^n / S in the complement
@@ -213,6 +214,10 @@ class RowReducer:
     span regardless of insertion order, and reducing a vector subtracts
     each row whose pivot it hits once.  Vectors are dense sequences or
     ``{column: scalar}`` dicts; ``reduce`` answers in the form given.
+
+    A column index maps each non-pivot column to the pivots of the rows
+    holding it (no empty sets), so a new pivot is cleared from just those;
+    ``Subspace.reducer`` sets rows directly and leaves it to the first store.
     """
 
     def __init__(self, field: Field, width: int):
@@ -220,6 +225,7 @@ class RowReducer:
         self.width = width
         self.pivots: list[int] = []  # ascending
         self._rows: dict[int, dict] = {}  # pivot -> row
+        self._cols: dict[int, set] | None = {}  # column -> pivots of rows holding it; None: unbuilt
 
     def _sparse(self, vec, native: bool = False) -> dict:
         """A fresh ``{column: nonzero scalar}`` copy of ``vec``; a ``native``
@@ -259,14 +265,29 @@ class RowReducer:
         return v
 
     def _store(self, pivot: int, row: dict) -> None:
-        """Add a reduced ``row`` with a 1 at ``pivot`` and clear that column
-        in the other rows; only those with a smaller pivot can reach it."""
-        at = bisect.bisect(self.pivots, pivot)
-        for p in self.pivots[:at]:
-            if pivot in self._rows[p]:
-                self._eliminate(self._rows[p], {pivot: row})
+        """Add a reduced ``row`` with a 1 at ``pivot`` and clear that column in
+        the rows indexed under it, which change only at the columns of ``row``."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = {}
+            for q, r in self._rows.items():
+                for j in r:
+                    if j != q:
+                        cols.setdefault(j, set()).add(q)
+        for q in cols.pop(pivot, ()):
+            r = self._eliminate(self._rows[q], {pivot: row})
+            for j in row:
+                if j in r:
+                    cols.setdefault(j, set()).add(q)
+                elif q in cols.get(j, ()):
+                    cols[j].remove(q)
+                    if not cols[j]:
+                        del cols[j]
+        for j in row:
+            if j != pivot:
+                cols.setdefault(j, set()).add(pivot)
         self._rows[pivot] = row
-        self.pivots.insert(at, pivot)
+        bisect.insort(self.pivots, pivot)
 
     def reduce(self, vec, _native: bool = False):
         """Residual of ``vec`` after eliminating all current pivots."""
@@ -348,6 +369,7 @@ class Subspace:
             p: {j: x for j, x in enumerate(r) if x}
             for p, r in zip(self.pivots, self.basis.rows)
         }
+        red._cols = None
         return red
 
     def contains_subspace(self, other: "Subspace") -> bool:

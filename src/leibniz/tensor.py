@@ -108,9 +108,9 @@ def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T0(M, N) of the under truncation; needs full factors."""
     if not (a.is_full() and b.is_full()):
         raise BimoduleError("coarse truncation data needs full bimodules")
-    ka = kernels_and_invariants(a)
-    kb = kernels_and_invariants(b)
-    return tensor_of_subspaces(ka["M0"], kb["MR"]).sum(tensor_of_subspaces(ka["MR"], kb["M0"]))
+    a0, ar = (column_span(a.field, ms, a.dim) for ms in (a.sums(), a.rho))
+    b0, br = (column_span(b.field, ms, b.dim) for ms in (b.sums(), b.rho))
+    return tensor_of_subspaces(a0, br).sum(tensor_of_subspaces(ar, b0))
 
 
 def truncation_data(a: Bimodule, b: Bimodule) -> TruncationData:

@@ -510,6 +510,9 @@ BAD_INPUTS = [
 ]
 
 
+PRODUCT_COMMANDS = [("tensor",), ("trunc", "--bar"), ("trunc", "--under"), ("trunc-report",)]
+
+
 class TestOneLineErrors:
     def test_missing_module_file(self, capsys):
         code, _, err = run(capsys, "bimodule", "--example", "A", "--module", "file:/missing")
@@ -596,6 +599,38 @@ class TestOneLineErrors:
         assert built == [255]
         code, out, _ = run(capsys, "bimodule", "--example", "sl2", "--module", "trivial:256")
         assert code == 0 and "dim: 256" in out
+
+    @pytest.mark.parametrize("command", PRODUCT_COMMANDS)
+    def test_product_over_the_cap_is_refused_at_once(self, capsys, monkeypatch, command):
+        def unreachable(*args):
+            raise AssertionError("a tensor product was built")
+
+        monkeypatch.setattr(leibniz.tensor, "tensor_bimodule", unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--example", "sl2",
+                             "--left", "sym:L16", "--right", "sym:L16")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: the product of 'sym:L16' and 'sym:L16' has dimension 289, "
+                       "over the cap 256\n")
+
+    @pytest.mark.parametrize("command", PRODUCT_COMMANDS)
+    def test_product_at_the_cap_passes_the_check(self, monkeypatch, command):
+        class Reached(Exception):
+            pass
+
+        built = []
+
+        def stub(left, right):
+            built.append((left.dim, right.dim))
+            raise Reached
+
+        # trunc-report forms the defect span before its tensor product
+        monkeypatch.setattr(leibniz.tensor, "tensor_bimodule", stub)
+        monkeypatch.setattr(leibniz.tensor, "mll_defect_span", stub)
+        with pytest.raises(Reached):
+            main([*command, "--example", "sl2", "--left", "sym:L15", "--right", "sym:L15"])
+        assert built == [(16, 16)]
 
     @pytest.mark.parametrize(
         "argv",

@@ -546,6 +546,80 @@ class TestSparseRowReducer:
         assert (b * null.basis.transpose()).is_zero() and inverse * a == Matrix.identity(field, 4)
 
 
+INDEX_FIELDS = [FF(2), FF(3), FF(101), QQ]
+
+
+@st.composite
+def index_cases(draw):
+    """A field, a width of at most 40 and two lists of up to 20 sparse
+    ``{column: scalar}`` vectors of 1-6 entries, drawn from a pool of
+    columns small enough that a new pivot often lies in stored rows."""
+    field = draw(st.sampled_from(INDEX_FIELDS))
+    width = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = rng.sample(range(width), rng.randint(1, width))
+
+    def vectors():
+        return [{j: scalar(field, rng) for j in rng.sample(pool, min(len(pool), rng.randint(1, 6)))}
+                for _ in range(draw(st.integers(0, 20)))]
+
+    return field, width, vectors(), vectors()
+
+
+def sympy_rref(field, width, vecs) -> Matrix:
+    """The RREF basis of the span of the ``{column: scalar}`` vectors, by sympy."""
+    dense = [[to_sympy(field, field.coerce(v.get(j, 0))) for j in range(width)] for v in vecs]
+    reduced, pivots = DomainMatrix(dense, (len(vecs), width), domain(field)).rref()
+    return Matrix(field, rows_of(reduced, field)[: len(pivots)], width)
+
+
+class TestColumnIndex:
+    """The row reducer's column index equals the one recomputed from its
+    rows after every insert, no row holds another row's pivot, and the
+    basis is sympy's RREF: for fresh reducers, for reducers from
+    ``Subspace.reducer`` that are then inserted into (their index is built
+    at the first store), and through ``Subspace.sum`` and ``intersect``."""
+
+    @staticmethod
+    def check(red: RowReducer, vecs: list) -> None:
+        index = {}
+        for q, row in red._rows.items():
+            for j in row:
+                if j != q:
+                    index.setdefault(j, set()).add(q)
+        if red._cols is not None:
+            assert red._cols == index
+        assert not any(q in row for p, row in red._rows.items() for q in red.pivots if q != p)
+        assert red.basis() == sympy_rref(red.field, red.width, vecs)
+
+    @given(index_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_index_after_every_insert(self, case):
+        field, width, first, second = case
+        red = RowReducer(field, width)
+        for i, v in enumerate(first):
+            red.insert(v)
+            self.check(red, first[: i + 1])
+        seeded = Subspace.span(field, width, first).reducer()
+        for i, v in enumerate(second):
+            seeded.insert(v)
+            self.check(seeded, first + second[: i + 1])
+
+    @given(index_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_sum_and_intersect(self, case):
+        field, width, first, second = case
+        u, w = Subspace.span(field, width, first), Subspace.span(field, width, second)
+        total = u.sum(w)
+        assert total.basis == sympy_rref(field, width, first + second)
+        meet = u.intersect(w)
+        met = [dict(enumerate(r)) for r in meet.basis.rows]
+        assert meet.basis == sympy_rref(field, width, met)
+        assert meet.dim == u.dim + w.dim - total.dim
+        assert sympy_rref(field, width, first + met) == u.basis
+        assert sympy_rref(field, width, second + met) == w.basis
+
+
 def sympy_eigenvalues(m: Matrix) -> set:
     f = m.field
     if f.characteristic:

@@ -108,6 +108,11 @@ class Bimodule:
         return tuple(map(Matrix.__add__, self.lam, self.rho))
 
     @_memo
+    def m0_and_mr(self) -> tuple:
+        """M0 and MR (see ``kernels_and_invariants``), once per module."""
+        return tuple(column_span(self.field, ms, self.dim) for ms in (self.sums(), self.rho))
+
+    @_memo
     def axiom_report(self) -> AxiomReport:
         return axiom_report(self)
 
@@ -354,9 +359,10 @@ def kernels_and_invariants(mod: Bimodule) -> dict:
     if not mod.is_weak():
         raise BimoduleError("kernel data needs at least a weak bimodule")
     f, d = mod.field, mod.dim
+    m0, mr = mod.m0_and_mr()
     return {
-        "M0": column_span(f, mod.sums(), d),
-        "MR": column_span(f, mod.rho, d),
+        "M0": m0,
+        "MR": mr,
         "LM": column_span(f, mod.lam, d),
         "Minv": nullspace(Matrix._of(f, [row for r in mod.rho for row in r.rows], d)),
     }

@@ -271,9 +271,8 @@ class RowReducer:
         if cols is None:
             cols = self._cols = {}
             for q, r in self._rows.items():
-                for j in r:
-                    if j != q:
-                        cols.setdefault(j, set()).add(q)
+                for j in r.keys() - {q}:
+                    cols.setdefault(j, set()).add(q)
         for q in cols.pop(pivot, ()):
             r = self._eliminate(self._rows[q], {pivot: row})
             for j in row:
@@ -283,9 +282,8 @@ class RowReducer:
                     cols[j].remove(q)
                     if not cols[j]:
                         del cols[j]
-        for j in row:
-            if j != pivot:
-                cols.setdefault(j, set()).add(pivot)
+        for j in row.keys() - {pivot}:
+            cols.setdefault(j, set()).add(pivot)
         self._rows[pivot] = row
         bisect.insort(self.pivots, pivot)
 

@@ -108,8 +108,7 @@ def coarse_kernel(a: Bimodule, b: Bimodule) -> Subspace:
     """T0(M, N) of the under truncation; needs full factors."""
     if not (a.is_full() and b.is_full()):
         raise BimoduleError("coarse truncation data needs full bimodules")
-    a0, ar = (column_span(a.field, ms, a.dim) for ms in (a.sums(), a.rho))
-    b0, br = (column_span(b.field, ms, b.dim) for ms in (b.sums(), b.rho))
+    (a0, ar), (b0, br) = a.m0_and_mr(), b.m0_and_mr()
     return tensor_of_subspaces(a0, br).sum(tensor_of_subspaces(ar, b0))
 
 

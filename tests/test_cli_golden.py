@@ -85,6 +85,9 @@ COMMANDS = [
     "gr props --rule star:sl2,sl2 --window 2 --json",
     "envelope --example hemi-sl2-L1 --which ul --cutoff 4 --dims --json",
     "envelope --example hemi-sl2-L1 --which ulweak --field Fp:101 --cutoff 4 --dims --json",
+    "envelope --example sl2 --which ul --cutoff 3 --dims --homs --json",
+    "envelope --example N --which ul --field Fp:3 --cutoff 4 --dims --json",
+    "envelope --example abelian:2 --which ulweak --cutoff 3 --dims --hopf --json",
 ]
 
 

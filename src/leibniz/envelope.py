@@ -19,7 +19,12 @@ each ideal slice in this order gives membership and normal forms (the
 remainder, with the longest words reduced first) as well as the filtered
 dimensions (the echelon rows that pivot on short words); compare
 Bergman's diamond lemma (Adv. Math. 29, 1978).  Each u * rel * v (at most
-four terms) enters the sparse row reducer as a ``{column: scalar}`` map.
+four terms) enters the sparse row reducer as a ``{column: scalar}`` map of
+native scalars, taken without ``coerce``.  The weak relations are a prefix
+of the full ones, so a full slice starts from a copy of the weak slice and
+adds only the u * zd * v rows; the echelon form is canonical, so the slice
+is the same.  An algebra keeps its presentations, and slices over
+``MAX_SLICE_WORDS`` words are refused before any word is listed.
 The bounds for hemi-sl2-L1 over Q at cutoff 4 (11,111 words) are ``ul``
 [1, 9, 30, 70, 315] and ``ulweak`` [1, 9, 55, 295, 2165].  When the Leibniz
 kernel is nonzero the loose bound is the top degree, the cutoff itself.
@@ -29,6 +34,7 @@ The standard maps d0, d1, s0 and omega are one table of generator images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import LeibnizAlgebra, _memo, canonical_lie, leibniz_kernel
 from .bimodule import Bimodule, BimoduleError
@@ -37,6 +43,9 @@ from .linalg import Matrix, RowReducer
 
 class EnvelopeError(ValueError):
     pass
+
+
+MAX_SLICE_WORDS = 50_000  # words of length <= cutoff; hemi-sl2-L1 at cutoff 4 has 11,111
 
 
 Word = tuple  # tuple of generator indices
@@ -73,10 +82,12 @@ def poly_degree(a: NCPoly) -> int:
 
 class PresentedAlgebra:
     """Free algebra modulo lead-degree-2 relations, sliced by word length;
-    the words and the ideal slice of each degree are memoized."""
+    the words and the ideal slice of each degree are memoized.  A ``base``
+    on the same generators, whose relations are the first of these, lends
+    its words and seeds each ideal slice."""
 
     def __init__(self, field, gen_names, relations, cutoff: int = 3, which: str = "free",
-                 algebra: LeibnizAlgebra | None = None):
+                 algebra: LeibnizAlgebra | None = None, base: PresentedAlgebra | None = None):
         if cutoff < 2:
             raise EnvelopeError("cutoff must be at least 2")
         self.field = field
@@ -85,10 +96,21 @@ class PresentedAlgebra:
         self.cutoff = cutoff
         self.which = which
         self.algebra = algebra
+        self.base = base
         for rel in self.relations:
             if poly_degree(rel) > 2:
                 raise EnvelopeError("relations must have degree at most 2")
+        n = self.ngens  # with n >= 2 generators, the n**20 words of length 20 are over the cap
+        words = cutoff + 1 if n == 1 else sum(n ** k for k in range(min(cutoff, 20) + 1))
+        if words > MAX_SLICE_WORDS:
+            raise EnvelopeError(f"the degree-{cutoff} slice on {self.ngens} generators has over "
+                                f"{MAX_SLICE_WORDS} words")
         self._derived: dict = {}
+        if base is not None:
+            if base.gen_names != self.gen_names or base.relations != self.relations[:len(base.relations)]:
+                raise EnvelopeError("a base presentation needs the same generators and leading relations")
+            self._level, self.slice_words, self._word_index = (
+                base._level, base.slice_words, base._word_index)
 
     @property
     def ngens(self) -> int:
@@ -139,17 +161,22 @@ class PresentedAlgebra:
 
     @_memo
     def ideal_reducer(self, d: int) -> RowReducer:
-        """Span of u * rel * v with |u| + 2 + |v| <= d, row-reduced."""
+        """Span of u * rel * v with |u| + 2 + |v| <= d, row-reduced; its
+        column index is freed once the slice is complete."""
         if d > self.cutoff:
             raise EnvelopeError(f"degree {d} above cutoff {self.cutoff}")
-        red = RowReducer(self.field, len(self.slice_words(d)))
+        if self.base is None:
+            red, rels = RowReducer(self.field, len(self.slice_words(d))), self.relations
+        else:
+            red, rels = self.base.ideal_reducer(d).copy(), self.relations[len(self.base.relations):]
         index = self._word_index(d)
-        for rel in self.relations:
+        for rel in rels:
             for la in range(d - 1):
                 for u in self._level(la):
                     for lb in range(d - 1 - la):
                         for v in self._level(lb):
-                            red.insert({index[u + w + v]: c for w, c in rel.items()})
+                            red.insert({index[u + w + v]: c for w, c in rel.items()}, _native=True)
+        red._cols = None
         return red
 
     def low_degree_ideal_dims(self, top: int) -> list[int]:
@@ -201,7 +228,8 @@ def _bracket_relation(field, a: Word, b: Word, cell, gen) -> NCPoly:
 
 
 def _envelope_relations(alg: LeibnizAlgebra, include_zd: bool):
-    """Relation families on generators l_0..l_{n-1}, r_0..r_{n-1}."""
+    """Relation families on generators l_0..l_{n-1}, r_0..r_{n-1}: (llm) and
+    (lml) for all pairs, then (zd), so the weak relations are a prefix."""
     f = alg.field
     n = alg.dim
     rels = []
@@ -214,22 +242,25 @@ def _envelope_relations(alg: LeibnizAlgebra, include_zd: bool):
             rels.append(_bracket_relation(f, l(i), l(j), cell, l))
             # (lml): l_i r_j - r_j l_i - r_{b_i b_j}
             rels.append(_bracket_relation(f, l(i), r(j), cell, r))
-            if include_zd:
-                # (zd): r_i l_j + r_i r_j
-                rels.append({r(i) + l(j): f.one(), r(i) + r(j): f.one()})
+    if include_zd:
+        # (zd): r_i l_j + r_i r_j
+        rels += [{r(i) + l(j): f.one(), r(i) + r(j): f.one()} for i in range(n) for j in range(n)]
     return rels
 
 
-def build_presentation(alg: LeibnizAlgebra, which: str, cutoff: int = 3) -> PresentedAlgebra:
-    """Presentations: ``ul`` (full), ``ulweak`` (no zero-divisor family),
-    ``ulie`` (enveloping algebra of the canonical Lie quotient)."""
+@_memo
+def build_presentation(alg: LeibnizAlgebra, which: str, cutoff: int) -> PresentedAlgebra:
+    """Presentations, kept on the algebra: ``ul`` (full, extending its weak
+    presentation), ``ulweak`` (no zero-divisor family), ``ulie``
+    (enveloping algebra of the canonical Lie quotient)."""
     f = alg.field
     if which in ("ul", "ulweak"):
         names = [f"l_{nm}" for nm in alg.basis_names] + [
             f"r_{nm}" for nm in alg.basis_names
         ]
         rels = _envelope_relations(alg, include_zd=(which == "ul"))
-        return PresentedAlgebra(f, names, rels, cutoff, which, algebra=alg)
+        base = build_presentation(alg, "ulweak", cutoff) if which == "ul" else None
+        return PresentedAlgebra(f, names, rels, cutoff, which, algebra=alg, base=base)
     if which == "ulie":
         quot, _ = canonical_lie(alg)
         names = [f"x_{nm}" for nm in quot.basis_names]
@@ -240,10 +271,6 @@ def build_presentation(alg: LeibnizAlgebra, which: str, cutoff: int = 3) -> Pres
         ]
         return PresentedAlgebra(f, names, rels, cutoff, which, algebra=alg)
     raise EnvelopeError(f"unknown presentation kind {which!r}")
-
-
-def free_presentation(field, names, cutoff: int = 3) -> PresentedAlgebra:
-    return PresentedAlgebra(field, names, [], cutoff, "free")
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +417,9 @@ def hopf_check(pres: PresentedAlgebra, antipode_signs=None) -> dict:
     red = pres.ideal_reducer(2)
     counit_ok = all((() not in rel) for rel in pres.relations)
 
+    @cache
     def pi(word: Word) -> dict:
-        return red.reduce(pres.poly_to_vec({word: f.one()}, 2))
+        return red.reduce(pres.poly_to_vec({word: f.one()}, 2), _native=True)
 
     coideal_ok = True
     for rel in pres.relations:
@@ -431,13 +459,4 @@ def act(pres: PresentedAlgebra, word, mod: Bimodule, vec) -> tuple:
     out = tuple(vec)
     for g in reversed([pres.gen_index(g) for g in word]):
         out = mod.actions[g].apply(out)
-    return out
-
-
-def act_poly(pres: PresentedAlgebra, poly: NCPoly, mod: Bimodule, vec) -> tuple:
-    f = pres.field
-    out = (f.zero(),) * mod.dim
-    for w, c in poly.items():
-        img = act(pres, w, mod, vec)
-        out = tuple(f.add(a, f.mul(c, b)) for a, b in zip(out, img))
     return out

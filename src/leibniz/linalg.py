@@ -217,7 +217,8 @@ class RowReducer:
 
     A column index maps each non-pivot column to the pivots of the rows
     holding it (no empty sets), so a new pivot is cleared from just those;
-    ``Subspace.reducer`` sets rows directly and leaves it to the first store.
+    ``Subspace.reducer`` and ``copy`` set rows directly and leave it to the
+    first store.
     """
 
     def __init__(self, field: Field, width: int):
@@ -229,15 +230,24 @@ class RowReducer:
 
     def _sparse(self, vec, native: bool = False) -> dict:
         """A fresh ``{column: nonzero scalar}`` copy of ``vec``; a ``native``
-        dense row holds scalars that the kernel made and skips ``coerce``."""
+        row holds scalars that the kernel made and skips ``coerce``."""
         coerce = self.field.coerce
         if isinstance(vec, dict):
-            if any(not 0 <= j < self.width for j in vec):
+            if vec and not (0 <= min(vec) and max(vec) < self.width):
                 raise LinAlgError(f"column out of range in dimension {self.width}")
-            return {j: x for j, x in zip(vec, map(coerce, vec.values())) if x}
+            items = vec.items() if native else zip(vec, map(coerce, vec.values()))
+            return {j: x for j, x in items if x}
         if len(vec) != self.width:
             raise LinAlgError(f"vector of length {len(vec)} in dimension {self.width}")
         return {j: x for j, x in enumerate(vec if native else map(coerce, vec)) if x}
+
+    def copy(self) -> "RowReducer":
+        """An independent reducer of the same span."""
+        red = RowReducer(self.field, self.width)
+        red.pivots = list(self.pivots)
+        red._rows = {q: dict(r) for q, r in self._rows.items()}
+        red._cols = None
+        return red
 
     def _dense(self, v: dict) -> list:
         out = [self.field.zero()] * self.width

@@ -2,27 +2,32 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from sympy import GF, QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
 from leibniz.fields import FF, QQ
-from leibniz.algebra import make_A, make_N, make_S, make_abelian, make_e, make_sl2
+from leibniz.algebra import (
+    builtin_algebra, make_A, make_N, make_S, make_abelian, make_e, make_sl2,
+)
 from leibniz.bimodule import BimoduleError, adjoint, one_dim_bimodule
+from leibniz.cli import main as cli_main
 from leibniz.envelope import (
+    MAX_SLICE_WORDS,
     AlgebraHom,
     EnvelopeError,
+    PresentedAlgebra,
     act,
-    act_poly,
     build_presentation,
     check_section_identities,
     degree_one_primitive_dim,
-    free_presentation,
     hopf_check,
     kernel_products_vanish,
     standard_homs,
 )
+from leibniz.linalg import RowReducer
 from leibniz.samples import random_weak_bimodule
 
 BUILTINS = [make_e, make_A, make_N, make_sl2, make_S]
@@ -58,7 +63,7 @@ class TestPresentations:
         assert (2, 3) not in pairs
 
     def test_free_algebra_dims(self):
-        pres = free_presentation(QQ, ["x", "y"], 2)
+        pres = PresentedAlgebra(QQ, ["x", "y"], [], 2, "free")
         assert pres.filtered_dims(2) == [1, 3, 7]
         assert degree_one_primitive_dim(pres) == 2
 
@@ -154,6 +159,98 @@ class TestLowDegreeDimsOracle:
     def test_hemi_sl2_over_f101(self, top, which):
         pres = build_presentation(make_S(FF(101)), which, top)
         assert pres.low_degree_ideal_dims(top) == self.sympy_low_degree_dims(pres, top)
+
+
+class TestExtendedSlice:
+    """The full slice, seeded with a copy of the weak slice, equals a fresh
+    reducer of every u * rel * v of all full relations, in columns of the
+    test's own word order; small slices also match sympy's rank."""
+
+    CASES = [(name, cutoff) for name in ("e", "A", "N", "sl2", "abelian:2", "hemi-sl2-L1")
+             for cutoff in (2, 3, 4) if name != "hemi-sl2-L1" or cutoff < 4]
+
+    @pytest.mark.parametrize("field", [QQ, FF(3), FF(101)], ids=lambda f: f.spec)
+    @pytest.mark.parametrize("name, cutoff", CASES)
+    def test_full_slice_matches_fresh_reducer(self, name, cutoff, field):
+        ul = build_presentation(builtin_algebra(name, field), "ul", cutoff)
+        gens = range(ul.ngens)
+        for d in range(2, cutoff + 1):
+            words = [w for k in range(d, -1, -1) for w in itertools.product(gens, repeat=k)]
+            col = {w: i for i, w in enumerate(words)}
+            spanning = [{col[u + w + v]: c for w, c in rel.items()}
+                        for rel in ul.relations for la in range(d - 1) for lb in range(d - 1 - la)
+                        for u in itertools.product(gens, repeat=la)
+                        for v in itertools.product(gens, repeat=lb)]
+            fresh = RowReducer(field, len(words))
+            fresh.insert_all(spanning)
+            red = ul.ideal_reducer(d)
+            assert red.pivots == fresh.pivots
+            assert red._rows == fresh._rows
+            if len(words) <= 400:
+                p = field.characteristic
+                dom = GF(p) if p else SQQ
+                scalar = (lambda c: dom(int(c))) if p else (lambda c: SQQ(c.numerator, c.denominator))
+                rows = {i: {j: scalar(c) for j, c in row.items()} for i, row in enumerate(spanning)}
+                assert DomainMatrix(rows, (len(rows), len(words)), dom).rank() == red.rank
+
+    def test_each_slice_computed_once(self, monkeypatch):
+        computed = Counter()
+        body = PresentedAlgebra.ideal_reducer.__wrapped__
+        monkeypatch.setattr(PresentedAlgebra.ideal_reducer, "__wrapped__",
+                            lambda pres, d: computed.update([(pres.which, d)]) or body(pres, d))
+        alg = make_S(FF(101))
+        pres = {w: build_presentation(alg, w, 3) for w in ("ul", "ulweak", "ulie")}
+        for which, p in pres.items():
+            p.filtered_dims(3)
+            if which != "ul":
+                hopf_check(p)
+        homs = standard_homs(alg, 3)
+        assert all(homs[name].verify() for name in ("d0", "d1", "s0", "omega"))
+        assert all(check_section_identities(alg, 3).values())
+        assert computed and max(computed.values()) == 1
+        assert all(build_presentation(alg, w, 3) is p for w, p in pres.items())
+        assert all(homs[w] is p for w, p in pres.items())
+
+    def test_weak_relations_lead_the_full_ones(self):
+        alg = make_A(QQ)
+        ul = build_presentation(alg, "ul", 2)
+        assert ul.base is build_presentation(alg, "ulweak", 2)
+        assert ul.relations[:len(ul.base.relations)] == ul.base.relations
+        assert ul.slice_words(2) is ul.base.slice_words(2)
+
+
+class TestSliceCap:
+    """Slices over MAX_SLICE_WORDS words are refused before a word is
+    listed: the word lister is stubbed to fail if it is reached."""
+
+    @pytest.fixture(autouse=True)
+    def no_word_listing(self, monkeypatch):
+        def unreachable(pres, k):
+            raise AssertionError("words listed")
+
+        monkeypatch.setattr(PresentedAlgebra._level, "__wrapped__", unreachable)
+
+    # (generators, cutoff): 11,111, 32,767, 50,000 and 1 words
+    @pytest.mark.parametrize("ngens, cutoff", [(10, 4), (2, 14), (1, 49_999), (0, 10**9)])
+    def test_counts_at_most_the_cap_accepted(self, ngens, cutoff):
+        assert MAX_SLICE_WORDS == 50_000
+        PresentedAlgebra(QQ, [f"x{i}" for i in range(ngens)], [], cutoff)
+
+    # 65,535, 50,001, 10**9 + 1, 266,305 and about 1.1e9 words
+    @pytest.mark.parametrize("ngens, cutoff", [(2, 15), (1, 50_000), (1, 10**9), (64, 3), (10, 9)])
+    def test_counts_over_the_cap_refused(self, ngens, cutoff):
+        with pytest.raises(EnvelopeError, match="over"):
+            PresentedAlgebra(QQ, [f"x{i}" for i in range(ngens)], [], cutoff)
+
+    @pytest.mark.parametrize("argv", [
+        "envelope --example hemi-sl2-L1 --cutoff 9 --dims",
+        "envelope --example abelian:32 --which ul --cutoff 3 --dims",
+        "envelope --example abelian:32 --cutoff 3 --homs",
+    ])
+    def test_cli_refuses_in_one_line(self, argv, capsys):
+        assert cli_main(argv.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHemiSl2Slices:
@@ -262,6 +359,13 @@ class TestAct:
         assert act(pres, ["l_h"], adjoint(alg), (0, 1)) == (0, 1)
 
     def test_relations_annihilate_weak_bimodules(self):
+        def act_poly(pres, poly, mod, vec):
+            out = (QQ.zero(),) * mod.dim
+            for w, c in poly.items():
+                img = act(pres, w, mod, vec)
+                out = tuple(QQ.add(a, QQ.mul(c, b)) for a, b in zip(out, img))
+            return out
+
         rng = random.Random(17)
         for make in (make_e, make_A):
             alg = make(QQ)

@@ -20,10 +20,10 @@ remainder, with the longest words reduced first) as well as the filtered
 dimensions (the echelon rows that pivot on short words); compare
 Bergman's diamond lemma (Adv. Math. 29, 1978).  Each u * rel * v (at most
 four terms) enters the sparse row reducer as a ``{column: scalar}`` map of
-native scalars, taken without ``coerce``.  The weak relations are a prefix
-of the full ones, so a full slice starts from a copy of the weak slice and
-adds only the u * zd * v rows; the echelon form is canonical, so the slice
-is the same.  An algebra keeps its presentations, and slices over
+native scalars (relations are coerced once, when a presentation is built).
+The weak relations are a prefix of the full ones, so a full slice is a
+copy of the weak slice plus the u * zd * v rows (the echelon form is
+canonical).  An algebra keeps its presentations; slices over
 ``MAX_SLICE_WORDS`` words are refused before any word is listed.
 The bounds for hemi-sl2-L1 over Q at cutoff 4 (11,111 words) are ``ul``
 [1, 9, 30, 70, 315] and ``ulweak`` [1, 9, 55, 295, 2165].  When the Leibniz
@@ -46,8 +46,6 @@ class EnvelopeError(ValueError):
 
 
 MAX_SLICE_WORDS = 50_000  # words of length <= cutoff; hemi-sl2-L1 at cutoff 4 has 11,111
-
-
 Word = tuple  # tuple of generator indices
 NCPoly = dict  # Word -> scalar
 
@@ -83,8 +81,7 @@ def poly_degree(a: NCPoly) -> int:
 class PresentedAlgebra:
     """Free algebra modulo lead-degree-2 relations, sliced by word length;
     the words and the ideal slice of each degree are memoized.  A ``base``
-    on the same generators, whose relations are the first of these, lends
-    its words and seeds each ideal slice."""
+    on the same generators, with the leading relations, seeds each slice."""
 
     def __init__(self, field, gen_names, relations, cutoff: int = 3, which: str = "free",
                  algebra: LeibnizAlgebra | None = None, base: PresentedAlgebra | None = None):
@@ -92,7 +89,8 @@ class PresentedAlgebra:
             raise EnvelopeError("cutoff must be at least 2")
         self.field = field
         self.gen_names = tuple(gen_names)
-        self.relations = [dict(r) for r in relations if r]
+        coerced = ({w: field.coerce(c) for w, c in r.items()} for r in relations)
+        self.relations = [r for r in ({w: c for w, c in r.items() if c} for r in coerced) if r]
         self.cutoff = cutoff
         self.which = which
         self.algebra = algebra
@@ -100,15 +98,16 @@ class PresentedAlgebra:
         for rel in self.relations:
             if poly_degree(rel) > 2:
                 raise EnvelopeError("relations must have degree at most 2")
-        n = self.ngens  # with n >= 2 generators, the n**20 words of length 20 are over the cap
-        words = cutoff + 1 if n == 1 else sum(n ** k for k in range(min(cutoff, 20) + 1))
+        words, level = 0, 1  # words of length < k, and of length k
+        for _ in range(cutoff + 1):
+            words, level = words + level, level * self.ngens
+            if words > MAX_SLICE_WORDS or not level:
+                break
         if words > MAX_SLICE_WORDS:
             raise EnvelopeError(f"the degree-{cutoff} slice on {self.ngens} generators has over "
                                 f"{MAX_SLICE_WORDS} words")
         self._derived: dict = {}
         if base is not None:
-            if base.gen_names != self.gen_names or base.relations != self.relations[:len(base.relations)]:
-                raise EnvelopeError("a base presentation needs the same generators and leading relations")
             self._level, self.slice_words, self._word_index = (
                 base._level, base.slice_words, base._word_index)
 
@@ -161,8 +160,7 @@ class PresentedAlgebra:
 
     @_memo
     def ideal_reducer(self, d: int) -> RowReducer:
-        """Span of u * rel * v with |u| + 2 + |v| <= d, row-reduced; its
-        column index is freed once the slice is complete."""
+        """Span of u * rel * v with |u| + 2 + |v| <= d, row-reduced."""
         if d > self.cutoff:
             raise EnvelopeError(f"degree {d} above cutoff {self.cutoff}")
         if self.base is None:
@@ -176,7 +174,7 @@ class PresentedAlgebra:
                     for lb in range(d - 1 - la):
                         for v in self._level(lb):
                             red.insert({index[u + w + v]: c for w, c in rel.items()}, _native=True)
-        red._cols = None
+        red.drop_index()
         return red
 
     def low_degree_ideal_dims(self, top: int) -> list[int]:

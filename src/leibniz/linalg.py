@@ -218,7 +218,7 @@ class RowReducer:
     A column index maps each non-pivot column to the pivots of the rows
     holding it (no empty sets), so a new pivot is cleared from just those;
     ``Subspace.reducer`` and ``copy`` set rows directly and leave it to the
-    first store.
+    first store; ``drop_index`` frees it from a reducer that is complete.
     """
 
     def __init__(self, field: Field, width: int):
@@ -242,12 +242,15 @@ class RowReducer:
         return {j: x for j, x in enumerate(vec if native else map(coerce, vec)) if x}
 
     def copy(self) -> "RowReducer":
-        """An independent reducer of the same span."""
+        """An independent reducer of the same span, its column index unbuilt."""
         red = RowReducer(self.field, self.width)
-        red.pivots = list(self.pivots)
-        red._rows = {q: dict(r) for q, r in self._rows.items()}
-        red._cols = None
+        red.pivots, red._rows = list(self.pivots), {q: dict(r) for q, r in self._rows.items()}
+        red.drop_index()
         return red
+
+    def drop_index(self) -> None:
+        """Free the column index; a later store rebuilds it from the rows."""
+        self._cols = None
 
     def _dense(self, v: dict) -> list:
         out = [self.field.zero()] * self.width

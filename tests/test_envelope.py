@@ -8,7 +8,7 @@ import pytest
 from sympy import GF, QQ as SQQ
 from sympy.polys.matrices import DomainMatrix
 
-from leibniz.fields import FF, QQ
+from leibniz.fields import FF, QQ, FieldError
 from leibniz.algebra import (
     builtin_algebra, make_A, make_N, make_S, make_abelian, make_e, make_sl2,
 )
@@ -66,6 +66,20 @@ class TestPresentations:
         pres = PresentedAlgebra(QQ, ["x", "y"], [], 2, "free")
         assert pres.filtered_dims(2) == [1, 3, 7]
         assert degree_one_primitive_dim(pres) == 2
+
+    def test_relations_are_coerced_into_the_field(self):
+        # over F_3: 3 is 0 and -1 is 2, so xy - yx + 3x is the commutator,
+        # and 3y^2 is the zero relation, which is dropped
+        F3 = FF(3)
+        pres = PresentedAlgebra(F3, ["x", "y"], [{(0, 1): 1, (1, 0): -1, (0,): 3},
+                                                 {(1, 1): 3}], 3)
+        assert pres.relations == [{(0, 1): 1, (1, 0): 2}]
+        native = PresentedAlgebra(F3, ["x", "y"], [{(0, 1): 1, (1, 0): 2}], 3)
+        for d in (2, 3):
+            assert pres.ideal_reducer(d)._rows == native.ideal_reducer(d)._rows
+        assert pres.filtered_dims(3) == [closed_form_two_commuting_vars(d) for d in range(4)]
+        with pytest.raises(FieldError):
+            PresentedAlgebra(QQ, ["x", "y"], [{(0, 1): 2.0, (1, 0): -2}], 2)
 
     def test_one_dim_full_envelope_closed_form(self):
         # normal forms are x^a and x^a y (words collapse through yx = xy
